@@ -24,6 +24,27 @@ const std::vector<double> kTerminationLevels = {0.002, 0.005, 0.01, 0.015,
                                                 0.02};
 const std::vector<double> kTransactionSizes = {5, 7, 10, 12, 15};
 
+#ifdef __linux__
+/// The affinity mask the process started with, captured on first use (which
+/// PinBenchmarkThread makes sure happens before it narrows the mask).
+const cpu_set_t& InitialAffinity() {
+  static const cpu_set_t allowed = [] {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) != 0) CPU_ZERO(&mask);
+    return mask;
+  }();
+  return allowed;
+}
+
+int PinCallingThread(int cpu) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  CPU_SET(static_cast<size_t>(cpu), &mask);
+  return sched_setaffinity(0, sizeof(mask), &mask) == 0 ? cpu : -1;
+}
+#endif
+
 bool SimilarityEqual(double a, double b) {
   return (std::isinf(a) && std::isinf(b) && std::signbit(a) == std::signbit(b))
              ? true
@@ -52,14 +73,12 @@ bool HarnessFlags::Parse(const std::string& description, int argc, char** argv,
 
 int PinBenchmarkThread() {
 #ifdef __linux__
+  const cpu_set_t& allowed = InitialAffinity();
   int cpu = -1;
   if (const char* env = std::getenv("MBI_BENCH_CPU")) {
     cpu = std::atoi(env);
   } else {
     // First CPU we are already allowed on (respects container cpusets).
-    cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return -1;
     for (size_t c = 0; c < CPU_SETSIZE; ++c) {
       if (CPU_ISSET(c, &allowed)) {
         cpu = static_cast<int>(c);
@@ -68,12 +87,23 @@ int PinBenchmarkThread() {
     }
   }
   if (cpu < 0) return -1;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  CPU_SET(static_cast<size_t>(cpu), &mask);
-  if (sched_setaffinity(0, sizeof(mask), &mask) != 0) return -1;
-  return cpu;
+  return PinCallingThread(cpu);
 #else
+  return -1;
+#endif
+}
+
+int PinThreadAwayFrom(int avoid_cpu) {
+#ifdef __linux__
+  const cpu_set_t& allowed = InitialAffinity();
+  for (size_t c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed) && static_cast<int>(c) != avoid_cpu) {
+      return PinCallingThread(static_cast<int>(c));
+    }
+  }
+  return -1;
+#else
+  (void)avoid_cpu;
   return -1;
 #endif
 }

@@ -81,6 +81,13 @@ void PrintBanner(const std::string& figure, const std::string& what,
 /// unsupported/denied (the benchmark still runs, unpinned).
 int PinBenchmarkThread();
 
+/// Pins the calling thread to a CPU other than `avoid_cpu`, picked from the
+/// affinity mask the process had before PinBenchmarkThread narrowed it, so
+/// background work cannot steal the timed thread's core. Returns that
+/// CPU, or -1 when the process may use only one CPU (or pinning fails) —
+/// the thread then stays where it is.
+int PinThreadAwayFrom(int avoid_cpu);
+
 /// Touches every transaction of `database` once so the timed sections
 /// measure query work, not first-touch page faults on the data. Returns a
 /// checksum of the visited items (forces the reads to happen).

@@ -2,7 +2,7 @@
 // latency while background merges run — the numbers ISSUE 9's Bentley–Saxe
 // leveling is accountable to.
 //
-// Three measurements:
+// Four measurements:
 //
 //   BM_DynInsert          — sustained single-writer insert throughput with
 //                           merges on a background pool, per buffer capacity
@@ -13,11 +13,21 @@
 //   BM_DynQueryUnderIngest — the same queries while a writer thread churns
 //                           rows (insert + delete-oldest) and merges rebuild
 //                           levels underneath; p50_us/p99_us counters record
-//                           the tail the background work induces.
+//                           the tail the background work induces. The writer
+//                           and the merge pool are pinned to a core other
+//                           than the timed one whenever the host has two
+//                           (writer_cpu = -1 when they share it);
+//   BM_DynQueryDeletedFraction — k-NN latency with 0/10/30/50% of the rows
+//                           deleted (oldest-first or uniform) and no merge
+//                           to purge them: every part skips its marked rows
+//                           and still answers with its k best live ones, so
+//                           the evaluated/fetched counters show how pruning
+//                           holds up as deletes accumulate.
 //
-// Run from the repo root with no arguments to (re)generate BENCH_dyn.json:
+// Run from the repo root to (re)generate BENCH_dyn.json from a Release
+// build (the committed file used five repetitions):
 //
-//   ./build/bench/insert_query_tput
+//   ./build/bench/insert_query_tput --benchmark_repetitions=5
 //
 // CI runs it with --benchmark_min_time=0.05 as a build-and-run smoke test
 // and uploads the JSON; numbers are recorded, not gated.
@@ -37,6 +47,7 @@
 #include "common/harness.h"
 #include "dyn/dynamic_index.h"
 #include "gen/quest_generator.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -44,6 +55,9 @@ namespace mbi {
 namespace {
 
 constexpr size_t kUniverse = 1000;
+
+/// The CPU main() pinned the timed thread to (-1: unpinned).
+int g_bench_cpu = -1;
 
 QuestGeneratorConfig DataConfig(uint64_t seed) {
   QuestGeneratorConfig config;
@@ -153,13 +167,22 @@ BENCHMARK(BM_DynQueryQuiescent)
 void BM_DynQueryUnderIngest(benchmark::State& state) {
   const std::vector<Transaction>& rows = SharedRows();
   constexpr size_t kWarmRows = 30'000;
-  ThreadPool pool(2);
-  DynamicIndex index(kUniverse, DynOptions(256, &pool));
+  // The writer and the merge workers run off the timed core where the host
+  // allows, so CPU contention is not mistaken for algorithmic cost. Workers
+  // inherit the affinity of the thread that starts them.
+  std::unique_ptr<ThreadPool> pool;
+  std::thread([&pool] {
+    bench::PinThreadAwayFrom(g_bench_cpu);
+    pool = std::make_unique<ThreadPool>(2);
+  }).join();
+  DynamicIndex index(kUniverse, DynOptions(256, pool.get()));
   for (size_t i = 0; i < kWarmRows; ++i) InsertRetrying(&index, rows[i]);
   index.WaitForMaintenance();
 
   std::atomic<bool> stop{false};
+  std::atomic<int> writer_cpu{-1};
   std::thread writer([&] {
+    writer_cpu.store(bench::PinThreadAwayFrom(g_bench_cpu));
     size_t next = kWarmRows;
     TransactionId oldest = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -197,11 +220,60 @@ void BM_DynQueryUnderIngest(benchmark::State& state) {
         latencies_us[latencies_us.size() * 99 / 100];
   }
   state.counters["tombstones"] = static_cast<double>(index.tombstone_count());
+  state.counters["writer_cpu"] = static_cast<double>(writer_cpu.load());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DynQueryUnderIngest)
     ->Arg(1)
     ->Arg(10)
+    ->Unit(benchmark::kMicrosecond);
+
+// --- Query cost against a deleted fraction. Merges run inline while the
+// rows load, then the deletes only mark rows (nothing merges afterwards to
+// purge them), which is the state every query sees between a delete and the
+// merge that drops its row. ---
+
+void BM_DynQueryDeletedFraction(benchmark::State& state) {
+  const std::vector<Transaction>& rows = SharedRows();
+  constexpr size_t kRows = 50'000;
+  constexpr size_t kK = 10;
+  const auto deleted_pct = static_cast<size_t>(state.range(0));
+  const bool oldest_first = state.range(1) != 0;
+  DynamicIndex index(kUniverse, DynOptions(1024, /*pool=*/nullptr));
+  for (size_t i = 0; i < kRows; ++i) InsertRetrying(&index, rows[i]);
+  std::vector<TransactionId> order(kRows);
+  for (size_t i = 0; i < kRows; ++i) order[i] = static_cast<TransactionId>(i);
+  if (!oldest_first) Rng(7).Shuffle(&order);
+  for (size_t i = 0; i < kRows * deleted_pct / 100; ++i) {
+    if (!index.Delete(order[i]).ok()) state.SkipWithError("delete failed");
+  }
+
+  // In-distribution targets: rows of the same stream that were never
+  // inserted.
+  constexpr size_t kTargets = 64;
+  MatchRatioFamily family;
+  DynQueryContext context;
+  NearestNeighborResult result;
+  double evaluated = 0.0;
+  double fetched = 0.0;
+  size_t i = 0;
+  for (auto _ : state) {
+    index.FindKNearest(rows[kRows + i % kTargets], family, kK,
+                       SearchOptions{}, &context, &result);
+    evaluated += static_cast<double>(result.stats.transactions_evaluated);
+    fetched += static_cast<double>(result.stats.io.transactions_fetched);
+    benchmark::DoNotOptimize(result);
+    ++i;
+  }
+  const double n = static_cast<double>(std::max<size_t>(i, 1));
+  state.counters["evaluated"] = evaluated / n;
+  state.counters["fetched"] = fetched / n;
+  state.counters["tombstones"] = static_cast<double>(index.tombstone_count());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DynQueryDeletedFraction)
+    ->ArgNames({"deleted_pct", "oldest_first"})
+    ->ArgsProduct({{0, 10, 30, 50}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
@@ -230,6 +302,7 @@ int main(int argc, char** argv) {
   mbi::bench::RequireReleaseBuild("insert_query_tput");
   mbi::bench::StampBuildContext();
   const int cpu = mbi::bench::PinBenchmarkThread();
+  mbi::g_bench_cpu = cpu;
   benchmark::AddCustomContext("mbi_pinned_cpu", std::to_string(cpu));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

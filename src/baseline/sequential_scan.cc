@@ -50,8 +50,9 @@ class SequentialIoCharger {
 }  // namespace
 
 SequentialScanner::SequentialScanner(const TransactionDatabase* database,
-                                     const CandidateLayout* layout)
-    : database_(database), layout_(layout) {
+                                     const CandidateLayout* layout,
+                                     const DeleteMask* deleted)
+    : database_(database), layout_(layout), deleted_(deleted) {
   MBI_CHECK(database != nullptr);
 }
 
@@ -124,6 +125,7 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
       for (size_t i = 0; i < len; ++i) {
         const auto id = static_cast<TransactionId>(base + i);
         charger.Charge(database_->Get(id));
+        if (Deleted(id)) continue;
         scored->push_back(
             {id, similarity.Evaluate(static_cast<int>(match[i]),
                                      static_cast<int>(hamming[i]))});
@@ -133,6 +135,7 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
         const auto id = static_cast<TransactionId>(base + i);
         const Transaction& candidate = database_->Get(id);
         charger.Charge(candidate);
+        if (Deleted(id)) continue;
         size_t m = 0, h = 0;
         packed.MatchAndHamming(candidate, &m, &h);
         scored->push_back({id, similarity.Evaluate(static_cast<int>(m),
@@ -267,6 +270,7 @@ std::vector<Neighbor> SequentialScanner::FindKNearestMultiTarget(
   std::vector<Neighbor> scored;
   scored.reserve(database_->size());
   for (TransactionId id = 0; id < database_->size(); ++id) {
+    if (Deleted(id)) continue;
     const Transaction& candidate = database_->Get(id);
     double sum = 0.0;
     for (size_t t = 0; t < targets.size(); ++t) {
@@ -303,6 +307,7 @@ std::vector<Neighbor> SequentialScanner::FindInRange(
       for (size_t i = 0; i < len; ++i) {
         const auto id = static_cast<TransactionId>(base + i);
         charger.Charge(database_->Get(id));
+        if (Deleted(id)) continue;
         double value = similarity->Evaluate(static_cast<int>(match[i]),
                                             static_cast<int>(hamming[i]));
         if (value >= threshold) matches.push_back({id, value});
@@ -312,6 +317,7 @@ std::vector<Neighbor> SequentialScanner::FindInRange(
     for (TransactionId id = 0; id < database_->size(); ++id) {
       const Transaction& candidate = database_->Get(id);
       charger.Charge(candidate);
+      if (Deleted(id)) continue;
       size_t match = 0, hamming = 0;
       packed.MatchAndHamming(candidate, &match, &hamming);
       double value = similarity->Evaluate(static_cast<int>(match),

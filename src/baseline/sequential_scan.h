@@ -7,6 +7,7 @@
 #include "core/similarity.h"
 #include "storage/io_stats.h"
 #include "txn/database.h"
+#include "txn/delete_mask.h"
 #include "txn/packed_target.h"
 #include "util/hot_path.h"
 #include "util/metrics.h"
@@ -30,8 +31,12 @@ class SequentialScanner {
   /// fixed-size chunks; the default keeps the legacy per-candidate probe,
   /// preserving this class's role as an independent oracle. Results are
   /// bit-identical either way.
+  ///
+  /// With a non-null `deleted` (a dyn part's delete marks, borrowed) every
+  /// scan skips marked rows: they are still read and charged, never scored.
   explicit SequentialScanner(const TransactionDatabase* database,
-                             const CandidateLayout* layout = nullptr);
+                             const CandidateLayout* layout = nullptr,
+                             const DeleteMask* deleted = nullptr);
 
   /// Enables aggregate instrumentation: per-query counters and a latency
   /// histogram in `registry` (names mbi.scan.*, see DESIGN.md §8). Pass
@@ -121,8 +126,14 @@ class SequentialScanner {
                : nullptr;
   }
 
+  /// True when `id` carries a delete mark (never, without a mask).
+  bool Deleted(TransactionId id) const {
+    return deleted_ != nullptr && deleted_->IsMarked(id);
+  }
+
   const TransactionDatabase* database_;
   const CandidateLayout* layout_;
+  const DeleteMask* deleted_;
   MetricHandles metrics_;
   bool metrics_enabled_ = false;
 };

@@ -48,8 +48,9 @@ uint64_t AccessBudget(double fraction, uint64_t database_size) {
 
 BranchAndBoundEngine::BranchAndBoundEngine(const TransactionDatabase* database,
                                            const SignatureTable* table,
-                                           const CandidateLayout* layout)
-    : database_(database), table_(table), layout_(layout) {
+                                           const CandidateLayout* layout,
+                                           const DeleteMask* deleted)
+    : database_(database), table_(table), layout_(layout), deleted_(deleted) {
   MBI_CHECK(database != nullptr && table != nullptr);
   MBI_CHECK(database->universe_size() == table->partition().universe_size());
   if (layout_ == nullptr) {
@@ -387,6 +388,7 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
     table_->FetchEntryTransactions(entry_index, &result.stats.io,
                                    &ctx.candidate_ids_);
     ++result.stats.entries_scanned;
+    if (deleted_ != nullptr) DropDeleted(&ctx.candidate_ids_);
     if (use_layout) {
       evaluate_candidates_batch(ctx.candidate_ids_.data(),
                                 ctx.candidate_ids_.size());
@@ -424,9 +426,11 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   }
   result.unexplored_optimistic_bound = unexplored_bound;
   result.best_unscanned_bound = std::max(max_pruned_bound, unexplored_bound);
-  result.guaranteed_exact =
-      knn_heap.size() == std::min<size_t>(k, database_->size()) &&
-      result.best_unscanned_bound <= pessimistic();
+  // Exact iff nothing left unscanned could beat the k-th best found. While
+  // the heap holds fewer than k rows nothing can have been pruned, so the
+  // test then passes only when every entry was scanned — which is exactly
+  // right when fewer than k rows are live.
+  result.guaranteed_exact = result.best_unscanned_bound <= pessimistic();
   // Paper-§4 quality certificate, duplicated into the stats so it survives
   // paths that only propagate QueryStats (metrics, the quarantine fallback).
   result.stats.termination = termination;
@@ -441,6 +445,15 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
               return a.id < b.id;
             });
   result.neighbors.assign(knn_heap.begin(), knn_heap.end());
+}
+
+MBI_HOT void BranchAndBoundEngine::DropDeleted(
+    std::vector<TransactionId>* ids) const {
+  size_t kept = 0;
+  for (const TransactionId id : *ids) {
+    if (!deleted_->IsMarked(id)) (*ids)[kept++] = id;
+  }
+  ids->erase(ids->begin() + static_cast<ptrdiff_t>(kept), ids->end());
 }
 
 NearestNeighborResult BranchAndBoundEngine::FindKNearestReference(
@@ -720,6 +733,7 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
     }
     table_->FetchEntryTransactions(i, &result.stats.io, &ids);
     ++result.stats.entries_scanned;
+    if (deleted_ != nullptr) DropDeleted(&ids);
     if (use_layout) {
       match_scratch.resize(ids.size());
       hamming_scratch.resize(ids.size());

@@ -11,6 +11,7 @@
 #include "core/similarity.h"
 #include "txn/candidate_layout.h"
 #include "txn/database.h"
+#include "txn/delete_mask.h"
 #include "txn/transaction.h"
 #include "util/hot_path.h"
 
@@ -163,9 +164,16 @@ class BranchAndBoundEngine {
   /// The layout is a snapshot: queries issued after the database grows past
   /// `layout->num_rows()` automatically fall back to the per-candidate
   /// probe path (bit-identical, just slower) until a fresh layout is bound.
+  ///
+  /// `deleted` (a dyn part's delete marks, borrowed like the layout) makes
+  /// the k-NN and range searches drop marked rows before scoring: a dead
+  /// row never enters the top-k, so the pessimistic bound is the k-th best
+  /// *live* row and the certificate keeps its meaning. Null (the static
+  /// index) treats every row as live.
   BranchAndBoundEngine(const TransactionDatabase* database,
                        const SignatureTable* table,
-                       const CandidateLayout* layout = nullptr);
+                       const CandidateLayout* layout = nullptr,
+                       const DeleteMask* deleted = nullptr);
 
   /// Finds the single nearest neighbour of `target` under `family`.
   NearestNeighborResult FindNearest(const Transaction& target,
@@ -272,12 +280,17 @@ class BranchAndBoundEngine {
                            const SearchOptions& options, QueryContext* context,
                            NearestNeighborResult* result) const;
 
+  /// Removes rows marked in `deleted_` from one entry's candidate list, in
+  /// place (order kept, no allocation).
+  MBI_HOT void DropDeleted(std::vector<TransactionId>* ids) const;
+
   const TransactionDatabase* database_;
   const SignatureTable* table_;
   /// Set only when the engine built its own layout (shared_ptr keeps the
   /// engine copyable); layout_ always points at the layout in use.
   std::shared_ptr<const CandidateLayout> owned_layout_;
   const CandidateLayout* layout_;
+  const DeleteMask* deleted_;
 };
 
 }  // namespace mbi

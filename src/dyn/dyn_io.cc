@@ -58,13 +58,25 @@ std::string DynIo::TablePath(const std::string& prefix, size_t i) {
 Status DynIo::Save(const DynamicIndex& index, const std::string& prefix,
                    Env* env) {
   // One consistent snapshot; everything below works off immutable state.
+  // The tombstone section is the sorted gids of the delete marks, read under
+  // the mutex that serializes every delete.
   DynamicIndex::State snapshot;
   TransactionId next_gid;
+  std::vector<TransactionId> tombstones;
   {
     MutexLock lock(&index.mu_);
     snapshot = index.state_;
     next_gid = index.next_gid_;
+    for (const auto& component : snapshot.components) {
+      component->deleted.ForEachMarked([&](size_t row) {
+        tombstones.push_back(component->gids[row]);
+      });
+    }
+    snapshot.buffer->deleted().ForEachMarked([&](size_t row) {
+      tombstones.push_back(snapshot.buffer->row(row).gid);
+    });
   }
+  std::sort(tombstones.begin(), tombstones.end());
 
   // Shards first, manifest last: the manifest is the commit point.
   for (size_t i = 0; i < snapshot.components.size(); ++i) {
@@ -90,7 +102,7 @@ Status DynIo::Save(const DynamicIndex& index, const std::string& prefix,
   MBI_RETURN_IF_ERROR(writer.EndSection());
 
   writer.BeginSection(kSectionTombstones);
-  writer.PutU32Span(snapshot.tombstones->data(), snapshot.tombstones->size());
+  writer.PutU32Span(tombstones.data(), tombstones.size());
   MBI_RETURN_IF_ERROR(writer.EndSection());
 
   for (const auto& component : snapshot.components) {
@@ -198,9 +210,6 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynIo::Load(
   std::optional<DynamicIndex::MergePlan> plan;
   {
     MutexLock lock(&index->mu_);
-    index->state_.tombstones =
-        std::make_shared<const std::vector<TransactionId>>(
-            std::move(tombstones));
     index->next_gid_ = static_cast<TransactionId>(next_gid);
 
     // Replay buffered rows under their original gids; a smaller configured
@@ -222,13 +231,20 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynIo::Load(
     }
     MBI_RETURN_IF_ERROR(parser.ExpectConsumed());
 
-    // live_rows_ was bumped per buffer replay only; rebuild it from scratch
-    // (AppendRowLocked's spill already purged buffer-row tombstones).
+    // Re-apply the tombstones as delete marks wherever their rows now live
+    // (a replayed buffer row may have spilled into a component).
+    for (const TransactionId gid : tombstones) {
+      if (!index->MarkDeletedLocked(gid).ok()) {
+        return Status::Corruption(prefix + ": tombstone names no live row");
+      }
+    }
+
+    // live_rows_ was bumped per buffer replay only; rebuild it from scratch.
     size_t total = index->state_.buffer->size();
     for (const auto& component : index->state_.components) {
       total += component->size();
     }
-    index->live_rows_ = total - index->state_.tombstones->size();
+    index->live_rows_ = total - index->tombstones_;
     index->UpdateGaugesLocked();
     plan = index->MaybeStartMergeLocked();
   }

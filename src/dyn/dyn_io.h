@@ -16,7 +16,8 @@ namespace mbi {
 /// Env has no directory primitives, so an index is a *path-prefix family*:
 ///
 ///   <prefix>            manifest (v2 container, magic "MBDX"): universe,
-///                       gid watermark, tombstones, per-component level +
+///                       gid watermark, tombstones (sorted gids of the
+///                       delete marks), per-component level +
 ///                       gid map, and the buffered rows verbatim
 ///   <prefix>.c<i>.rows  component i's rows   (SaveDatabase, "MBID")
 ///   <prefix>.c<i>.table component i's table  (SaveSignatureTable, "MBST")

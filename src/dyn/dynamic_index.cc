@@ -45,9 +45,10 @@ std::shared_ptr<const DynComponent> DynComponent::Create(
   if (!quarantine) {
     component->table.emplace(BuildIndex(component->rows, build));
     component->engine.emplace(&component->rows, &component->table.value(),
-                              &component->layout);
+                              &component->layout, &component->deleted);
   }
-  component->scanner.emplace(&component->rows, &component->layout);
+  component->scanner.emplace(&component->rows, &component->layout,
+                             &component->deleted);
   return component;
 }
 
@@ -64,12 +65,30 @@ std::shared_ptr<const DynComponent> DynComponent::CreateFromLoaded(
   if (table.has_value()) {
     component->table.emplace(std::move(*table));
     component->engine.emplace(&component->rows, &component->table.value(),
-                              &component->layout);
+                              &component->layout, &component->deleted);
   } else {
     component->quarantined = true;
   }
-  component->scanner.emplace(&component->rows, &component->layout);
+  component->scanner.emplace(&component->rows, &component->layout,
+                             &component->deleted);
   return component;
+}
+
+size_t DynComponent::CarryDeletesInto(const DynComponent* merged) const {
+  size_t purged = 0;
+  deleted.ForEachMarked([&](size_t row) {
+    const TransactionId gid = gids[row];
+    if (merged != nullptr) {
+      const auto it =
+          std::lower_bound(merged->gids.begin(), merged->gids.end(), gid);
+      if (it != merged->gids.end() && *it == gid) {
+        merged->deleted.Mark(static_cast<size_t>(it - merged->gids.begin()));
+        return;
+      }
+    }
+    ++purged;
+  });
+  return purged;
 }
 
 // --- DynamicIndex: lifecycle ------------------------------------------------
@@ -86,7 +105,6 @@ DynamicIndex::DynamicIndex(size_t universe_size,
   MBI_CHECK(options_.max_l0_components >= 1);
   MutexLock lock(&mu_);
   state_.buffer = std::make_shared<MutableBuffer>(options_.buffer_capacity);
-  state_.tombstones = std::make_shared<const std::vector<TransactionId>>();
   UpdateGaugesLocked();
 }
 
@@ -102,7 +120,7 @@ DynamicIndex::Metrics DynamicIndex::MakeMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) return m;
   m.inserts = registry->GetCounter("mbi.dyn.inserts", "rows", "Rows inserted");
   m.deletes =
-      registry->GetCounter("mbi.dyn.deletes", "rows", "Rows tombstoned");
+      registry->GetCounter("mbi.dyn.deletes", "rows", "Rows deleted");
   m.spills = registry->GetCounter("mbi.dyn.spills", "spills",
                                   "Buffer spills into level 0");
   m.merges = registry->GetCounter("mbi.dyn.merges", "merges",
@@ -131,7 +149,7 @@ DynamicIndex::Metrics DynamicIndex::MakeMetrics(MetricsRegistry* registry) {
 void DynamicIndex::UpdateGaugesLocked() {
   if (options_.metrics == nullptr) return;
   metrics_.components->Set(static_cast<double>(state_.components.size()));
-  metrics_.tombstones->Set(static_cast<double>(state_.tombstones->size()));
+  metrics_.tombstones->Set(static_cast<double>(tombstones_));
   metrics_.buffer_fill->Set(static_cast<double>(state_.buffer->size()));
   metrics_.live_rows->Set(static_cast<double>(live_rows_));
 }
@@ -195,32 +213,22 @@ void DynamicIndex::SpillLocked() {
   const MutableBuffer& buffer = *state_.buffer;
   const size_t n = buffer.size();
   MBI_CHECK(n >= 1);
-  const std::vector<TransactionId>& tombstones = *state_.tombstones;
 
-  // Freeze the live prefix; tombstoned buffer rows die here and their
-  // tombstones are purged (the row never reaches a component).
+  // Freeze the live prefix; deleted buffer rows die here (the row never
+  // reaches a component, so its mark is purged).
   std::vector<TransactionId> gids;
-  std::vector<TransactionId> applied;
   TransactionDatabase rows(static_cast<uint32_t>(universe_size_));
   gids.reserve(n);
   for (size_t i = 0; i < n; ++i) {
+    if (buffer.deleted().IsMarked(i)) continue;
     const BufferedRow& row = buffer.row(i);
-    if (std::binary_search(tombstones.begin(), tombstones.end(), row.gid)) {
-      applied.push_back(row.gid);
-      continue;
-    }
     gids.push_back(row.gid);
     rows.Add(row.txn);
   }
+  tombstones_ -= n - gids.size();
   if (!gids.empty()) {
     state_.components.push_back(DynComponent::Create(
         /*level=*/0, std::move(gids), std::move(rows), options_.build));
-  }
-  if (!applied.empty()) {
-    auto remaining = std::make_shared<std::vector<TransactionId>>();
-    std::set_difference(tombstones.begin(), tombstones.end(), applied.begin(),
-                        applied.end(), std::back_inserter(*remaining));
-    state_.tombstones = std::move(remaining);
   }
   state_.buffer = std::make_shared<MutableBuffer>(options_.buffer_capacity);
   if (metrics_.spills != nullptr) metrics_.spills->Increment();
@@ -231,35 +239,39 @@ Status DynamicIndex::Delete(TransactionId gid) {
   if (gid >= next_gid_) {
     return Status::NotFound("gid was never assigned");
   }
-  const std::vector<TransactionId>& tombstones = *state_.tombstones;
-  if (std::binary_search(tombstones.begin(), tombstones.end(), gid)) {
-    return Status::NotFound("row already deleted");
-  }
-  bool present = false;
-  for (const auto& component : state_.components) {
-    if (std::binary_search(component->gids.begin(), component->gids.end(),
-                           gid)) {
-      present = true;
-      break;
-    }
-  }
-  if (!present) {
-    const size_t n = state_.buffer->size();
-    for (size_t i = 0; i < n && !present; ++i) {
-      present = state_.buffer->row(i).gid == gid;
-    }
-  }
-  if (!present) {
-    return Status::NotFound("row already deleted and purged");
-  }
-  // Copy-on-write: queries hold the old vector via their snapshot.
-  auto updated = std::make_shared<std::vector<TransactionId>>(tombstones);
-  updated->insert(
-      std::upper_bound(updated->begin(), updated->end(), gid), gid);
-  state_.tombstones = std::move(updated);
+  MBI_RETURN_IF_ERROR(MarkDeletedLocked(gid));
   --live_rows_;
   if (metrics_.deletes != nullptr) metrics_.deletes->Increment();
   UpdateGaugesLocked();
+  return Status::Ok();
+}
+
+Status DynamicIndex::MarkDeletedLocked(TransactionId gid) {
+  // The mark is set in place: queries holding a snapshot see it from their
+  // next read of that row on, and nothing proportional to the number of
+  // deletes is copied.
+  bool marked = false;
+  bool found = false;
+  for (const auto& component : state_.components) {
+    const auto it =
+        std::lower_bound(component->gids.begin(), component->gids.end(), gid);
+    if (it != component->gids.end() && *it == gid) {
+      found = true;
+      marked = component->deleted.Mark(
+          static_cast<size_t>(it - component->gids.begin()));
+      break;
+    }
+  }
+  const size_t n = state_.buffer->size();
+  for (size_t i = 0; i < n && !found; ++i) {
+    if (state_.buffer->row(i).gid == gid) {
+      found = true;
+      marked = state_.buffer->deleted().Mark(i);
+    }
+  }
+  if (!found) return Status::NotFound("row already deleted and purged");
+  if (!marked) return Status::NotFound("row already deleted");
+  ++tombstones_;
   return Status::Ok();
 }
 
@@ -285,7 +297,6 @@ std::optional<DynamicIndex::MergePlan> DynamicIndex::MaybeStartMergeLocked() {
     if (CountAtLevelLocked(level) < options_.level_fanout) continue;
     MergePlan plan;
     plan.out_level = level + 1;
-    plan.tombstones = state_.tombstones;
     for (const auto& component : state_.components) {
       if (component->level == level) plan.victims.push_back(component);
     }
@@ -309,9 +320,9 @@ void DynamicIndex::SubmitMerge(MergePlan plan) {
 
 void DynamicIndex::RunMerge(const MergePlan& plan, const QueryBudget& budget) {
   ScopedTimer timer(metrics_.merge_latency);
-  // Phase 1: gather. Victims are immutable, so no lock is needed; the plan's
-  // tombstone snapshot decides which rows die (later deletes stay tombstoned
-  // against the merged component).
+  // Phase 1: gather. Victim rows are immutable, so no lock is needed; rows
+  // marked deleted by now die, and rows marked later are re-marked on the
+  // merged component at publish.
   if (budget.cancelled() || budget.deadline_expired()) {
     MutexLock lock(&mu_);
     AbandonMergeLocked();
@@ -322,23 +333,17 @@ void DynamicIndex::RunMerge(const MergePlan& plan, const QueryBudget& budget) {
     const Transaction* txn;
   };
   std::vector<GatheredRow> gathered;
-  std::vector<TransactionId> applied;
-  const std::vector<TransactionId>& tombstones = *plan.tombstones;
   for (const auto& victim : plan.victims) {
     for (size_t i = 0; i < victim->gids.size(); ++i) {
-      const TransactionId gid = victim->gids[i];
-      if (std::binary_search(tombstones.begin(), tombstones.end(), gid)) {
-        applied.push_back(gid);
-        continue;
-      }
-      gathered.push_back({gid, &victim->rows.Get(static_cast<TransactionId>(i))});
+      if (victim->deleted.IsMarked(i)) continue;
+      gathered.push_back(
+          {victim->gids[i], &victim->rows.Get(static_cast<TransactionId>(i))});
     }
   }
   std::sort(gathered.begin(), gathered.end(),
             [](const GatheredRow& a, const GatheredRow& b) {
               return a.gid < b.gid;
             });
-  std::sort(applied.begin(), applied.end());
 
   // Phase 2: build — the expensive re-mining pass, entirely off-lock.
   if (budget.cancelled() || budget.deadline_expired()) {
@@ -364,43 +369,35 @@ void DynamicIndex::RunMerge(const MergePlan& plan, const QueryBudget& budget) {
   std::optional<MergePlan> cascade;
   {
     MutexLock lock(&mu_);
-    if (budget.cancelled()) {
-      AbandonMergeLocked();
-      return;
+    // Merge window: a victim row marked after the gather was copied into the
+    // merged component, so it is re-marked there; a row marked before the
+    // gather was dropped, so its mark is purged with the victim. mu_ also
+    // serializes Delete, so no mark can land between this hand-off and the
+    // swap.
+    size_t purged = 0;
+    for (const auto& victim : plan.victims) {
+      if (budget.cancelled()) {
+        AbandonMergeLocked();
+        return;
+      }
+      purged += victim->CarryDeletesInto(merged.get());
     }
-    cascade = PublishMergeLocked(plan, std::move(merged), applied);
+    cascade = PublishMergeLocked(plan, std::move(merged), purged);
   }
   if (cascade.has_value()) SubmitMerge(std::move(*cascade));
 }
 
 std::optional<DynamicIndex::MergePlan> DynamicIndex::PublishMergeLocked(
     const MergePlan& plan, std::shared_ptr<const DynComponent> merged,
-    const std::vector<TransactionId>& applied) {
-  auto is_victim = [&plan](const std::shared_ptr<const DynComponent>& c) {
-    for (const auto& victim : plan.victims) {
-      if (victim.get() == c.get()) return true;
-    }
-    return false;
-  };
-  size_t removed = 0;
+    size_t purged) {
   auto& components = state_.components;
-  for (size_t i = 0; i < components.size();) {
-    if (is_victim(components[i])) {
-      components.erase(components.begin() + static_cast<ptrdiff_t>(i));
-      ++removed;
-    } else {
-      ++i;
-    }
+  for (const auto& victim : plan.victims) {
+    const auto it = std::find(components.begin(), components.end(), victim);
+    MBI_CHECK(it != components.end());
+    components.erase(it);
   }
-  MBI_CHECK(removed == plan.victims.size());
+  tombstones_ -= purged;
   if (merged != nullptr) components.push_back(std::move(merged));
-  if (!applied.empty()) {
-    auto remaining = std::make_shared<std::vector<TransactionId>>();
-    const std::vector<TransactionId>& current = *state_.tombstones;
-    std::set_difference(current.begin(), current.end(), applied.begin(),
-                        applied.end(), std::back_inserter(*remaining));
-    state_.tombstones = std::move(remaining);
-  }
   merge_in_flight_ = false;
   if (metrics_.merges != nullptr) metrics_.merges->Increment();
   UpdateGaugesLocked();
@@ -424,11 +421,10 @@ Status DynamicIndex::Compact() {
     MutexLock lock(&mu_);
     if (merge_in_flight_) continue;
     if (state_.buffer->size() > 0) SpillLocked();
-    if (state_.components.size() <= 1 && state_.tombstones->empty()) {
+    if (state_.components.size() <= 1 && tombstones_ == 0) {
       return Status::Ok();  // Already fully compacted.
     }
     plan.victims = state_.components;
-    plan.tombstones = state_.tombstones;
     int max_level = 0;
     for (const auto& component : state_.components) {
       max_level = std::max(max_level, component->level);
@@ -483,12 +479,7 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   }
   if (metrics_.queries != nullptr) metrics_.queries->Increment();
 
-  // The tombstone vector must outlive the merge even if a concurrent delete
-  // republishes state_.tombstones, so pin a copy in the context (reused
-  // capacity; typically tiny).
-  context->tombstone_snapshot.assign(snapshot.tombstones->begin(),
-                                     snapshot.tombstones->end());
-  context->merger.Reset(k, &context->tombstone_snapshot);
+  context->merger.Reset(k);
 
   const QueryBudget budget =
       QueryBudget::Tightest(options.budget, context->context.budget());
@@ -505,6 +496,7 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   buffer_stats.entries_total = buffered;
   if (buffered > 0) {
     size_t scanned = 0;
+    size_t evaluated = 0;
     bool expired = false;
     while (scanned < buffered) {
       // Min-one-chunk rule: the first chunk always scans; later chunks check
@@ -528,6 +520,7 @@ void DynamicIndex::FindKNearest(const Transaction& target,
       }
       const size_t end = std::min(buffered, scanned + kBufferScanChunk);
       for (; scanned < end; ++scanned) {
+        if (snapshot.buffer->deleted().IsMarked(scanned)) continue;
         const BufferedRow& row = snapshot.buffer->row(scanned);
         size_t match = 0;
         size_t hamming = 0;
@@ -535,10 +528,11 @@ void DynamicIndex::FindKNearest(const Transaction& target,
         context->merger.AddCandidate(
             row.gid, similarity.Evaluate(static_cast<int>(match),
                                          static_cast<int>(hamming)));
+        ++evaluated;
       }
     }
     buffer_stats.entries_scanned = scanned;
-    buffer_stats.transactions_evaluated = scanned;
+    buffer_stats.transactions_evaluated = evaluated;
     buffer_stats.entries_unexplored = buffered - scanned;
     if (expired) {
       buffer_stats.is_exact = false;
@@ -549,10 +543,9 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   context->merger.AddStats(buffer_stats);
 
   // --- Component fan-out. ---
-  // Each component is asked for k + |tombstones| so the merge stays sound
+  // Each component skips its deleted rows, so it is asked for exactly k
   // (KnnMerger invariants); the budget's entry cap is split across the
   // fan-out by charging each component's scan units as they accrue.
-  const size_t k_component = k + context->tombstone_snapshot.size();
   for (const auto& component : snapshot.components) {
     QueryTermination skip_cause = QueryTermination::kCompleted;
     if (budget.cancelled()) {
@@ -584,9 +577,8 @@ void DynamicIndex::FindKNearest(const Transaction& target,
       // The component's own min-one rule guarantees progress even at 0.
       component_options.budget.max_entries = remaining;
     }
-    const size_t capped_k = std::min(k_component, component->size());
     charged += QueryComponent(*component, target, family,
-                              std::max<size_t>(capped_k, 1),
+                              std::min(k, component->size()),
                               component_options, context);
     context->merger.AddComponent(context->component_result);
   }
@@ -674,7 +666,7 @@ size_t DynamicIndex::buffered_rows() const {
 
 size_t DynamicIndex::tombstone_count() const {
   MutexLock lock(&mu_);
-  return state_.tombstones->size();
+  return tombstones_;
 }
 
 TransactionId DynamicIndex::next_gid() const {
@@ -711,11 +703,19 @@ Status DynamicIndex::CheckInvariants() const {
   State snapshot;
   TransactionId next_gid;
   size_t live_rows;
+  size_t tombstones;
+  size_t marked;
   {
+    // Marks are counted under mu_, which serializes every writer of them.
     MutexLock lock(&mu_);
     snapshot = state_;
     next_gid = next_gid_;
     live_rows = live_rows_;
+    tombstones = tombstones_;
+    marked = state_.buffer->deleted().Count();
+    for (const auto& component : state_.components) {
+      marked += component->deleted.Count();
+    }
   }
   std::vector<TransactionId> all_gids;
   for (const auto& component : snapshot.components) {
@@ -743,16 +743,10 @@ Status DynamicIndex::CheckInvariants() const {
   if (!all_gids.empty() && all_gids.back() >= next_gid) {
     return Status::Corruption("gid beyond the allocation watermark");
   }
-  const std::vector<TransactionId>& tombstones = *snapshot.tombstones;
-  if (!std::is_sorted(tombstones.begin(), tombstones.end())) {
-    return Status::Corruption("tombstones not sorted");
+  if (marked != tombstones) {
+    return Status::Corruption("tombstone count disagrees with the marks");
   }
-  for (const TransactionId gid : tombstones) {
-    if (!std::binary_search(all_gids.begin(), all_gids.end(), gid)) {
-      return Status::Corruption("tombstone references a purged row");
-    }
-  }
-  if (all_gids.size() - tombstones.size() != live_rows) {
+  if (all_gids.size() - marked != live_rows) {
     return Status::Corruption("live-row accounting drifted");
   }
   return Status::Ok();

@@ -19,6 +19,7 @@
 #include "dyn/scheduler.h"
 #include "txn/candidate_layout.h"
 #include "txn/database.h"
+#include "txn/delete_mask.h"
 #include "txn/packed_target.h"
 #include "txn/transaction.h"
 #include "util/metrics.h"
@@ -32,6 +33,8 @@ namespace mbi {
 /// frozen set of rows, plus the local→global id map. Published as
 /// shared_ptr<const DynComponent>; queries pin a component with a snapshot
 /// and never observe it change, so level reconstructions need no read locks.
+/// The one exception is `deleted`, whose atomic marks a delete sets in place
+/// (DESIGN.md §13.1); the engine and scanner skip marked rows.
 ///
 /// A component whose persisted table failed verification on load is
 /// *quarantined*: its rows (the source of truth) are intact and it answers
@@ -42,19 +45,25 @@ namespace mbi {
 struct DynComponent {
   /// TransactionDatabase has no default state; Create/CreateFromLoaded are
   /// the real constructors.
-  explicit DynComponent(TransactionDatabase r) : rows(std::move(r)) {}
+  explicit DynComponent(TransactionDatabase r)
+      : rows(std::move(r)), deleted(rows.size()) {}
 
   /// Bentley–Saxe level. Level 0 holds fresh buffer spills; a merge of
   /// level-L components publishes at level L+1.
   int level = 0;
 
   /// Global transaction ids, ascending. Local row i of `rows` is global row
-  /// gids[i]; components partition the live gid space (plus tombstoned rows
+  /// gids[i]; components partition the live gid space (plus deleted rows
   /// not yet purged by a merge).
   std::vector<TransactionId> gids;
 
   /// The component's rows under *local* ids [0, rows.size()).
   TransactionDatabase rows;
+
+  /// Delete marks over local rows. Set under DynamicIndex's mutex by Delete
+  /// (and by a merge publish re-marking rows deleted mid-merge); read
+  /// lock-free by queries through the engine and scanner bound to it.
+  mutable DeleteMask deleted;
 
   CandidateLayout layout;
   std::optional<SignatureTable> table;
@@ -82,6 +91,13 @@ struct DynComponent {
       int level, std::vector<TransactionId> gids, TransactionDatabase rows,
       std::optional<SignatureTable> table);
 
+  /// Merge-window hand-off from a merge victim to the component built from
+  /// it: re-marks on `merged` (null when the merge kept no row) every row
+  /// marked here that `merged` also holds — a delete that landed after the
+  /// merge gathered this component. Returns how many marks name rows the
+  /// merge dropped: the tombstones it purges.
+  size_t CarryDeletesInto(const DynComponent* merged) const;
+
   size_t size() const { return rows.size(); }
 };
 
@@ -94,7 +110,6 @@ struct DynQueryContext {
   KnnMerger merger;
   PackedTarget packed;
   std::unique_ptr<SimilarityFunction> similarity;
-  std::vector<TransactionId> tombstone_snapshot;
 };
 
 /// Per-batch workspace: per-shard contexts and results live here so repeated
@@ -147,8 +162,9 @@ struct DynamicIndexOptions {
 /// as the offline index. When a level accumulates `level_fanout` components
 /// they merge — re-mining the union so signatures track correlation drift —
 /// into one component a level up, on a background Scheduler off the query
-/// path. Deletes are tombstones, filtered at query time and purged by the
-/// first merge that consumes the row.
+/// path. A delete marks the row where it lives (the buffer's or its
+/// component's DeleteMask); every part skips marked rows before its top-k,
+/// and the first spill or merge that consumes the row purges it.
 ///
 /// Queries fan out across buffer + every component and merge under the
 /// paper's optimistic-bound semantics (KnnMerger): values and cutoff-tie
@@ -160,7 +176,8 @@ struct DynamicIndexOptions {
 /// Thread safety: any number of concurrent readers (each with its own
 /// DynQueryContext) against one writer; Insert/Delete/Compact serialize on
 /// the internal mutex. Reads copy a snapshot under the mutex and run
-/// lock-free afterwards.
+/// lock-free afterwards. Every returned row was live when the query took its
+/// snapshot; a delete racing the query may or may not be seen.
 class DynamicIndex {
  public:
   explicit DynamicIndex(size_t universe_size,
@@ -175,8 +192,9 @@ class DynamicIndex {
   /// DynamicIndexOptions::max_l0_components.
   StatusOr<TransactionId> Insert(const Transaction& txn);
 
-  /// Tombstones a live row. kNotFound when `gid` was never assigned, is
-  /// already deleted, or was purged by a merge after deletion.
+  /// Marks a live row deleted, in O(components · log rows + buffer). kNotFound
+  /// when `gid` was never assigned, is already deleted, or was purged by a
+  /// merge after deletion.
   Status Delete(TransactionId gid);
 
   /// Top-k across buffer + all components, deletes applied. `k >= 1`.
@@ -205,26 +223,26 @@ class DynamicIndex {
                          std::vector<NearestNeighborResult>* results) const;
 
   /// Merges everything (buffer + all levels) into a single component on the
-  /// calling thread and purges all applied tombstones. Concurrent queries
+  /// calling thread and purges every deleted row. Concurrent queries
   /// keep answering throughout; concurrent inserts are admitted.
   Status Compact();
 
   /// Blocks until no background reconstruction is running.
   void WaitForMaintenance() const;
 
-  /// Structural self-check (gid partition, tombstone validity, sorted
-  /// invariants, live-row accounting). For tests and `mbi compact`.
+  /// Structural self-check (gid partition, sorted invariants, live-row
+  /// accounting against the delete marks). For tests and `mbi compact`.
   Status CheckInvariants() const;
 
   size_t universe_size() const { return universe_size_; }
   const DynamicIndexOptions& options() const { return options_; }
 
-  /// Rows inserted and not deleted. (Tombstoned rows still occupy space in
+  /// Rows inserted and not deleted. (Deleted rows still occupy space in
   /// their component until a merge purges them.)
   size_t live_size() const;
 
-  /// Published components, buffer fill, tombstone count — for tests, tools,
-  /// and metrics.
+  /// Published components, buffer fill, and tombstone count (deleted rows
+  /// not yet purged) — for tests, tools, and metrics.
   size_t num_components() const;
   size_t buffered_rows() const;
   size_t tombstone_count() const;
@@ -241,29 +259,30 @@ class DynamicIndex {
   friend struct DynIo;  // Persistence (dyn/dyn_io.h) rebuilds state directly.
 
   /// The queryable state, swapped atomically under mu_. Queries copy the
-  /// shared_ptrs and drop the lock; old buffers/components/tombstone vectors
-  /// stay alive for as long as any in-flight query pins them.
+  /// shared_ptrs and drop the lock; old buffers/components stay alive for as
+  /// long as any in-flight query pins them.
   struct State {
-    /// Non-const only for the Append path (serialized under mu_); query
-    /// snapshots touch const methods exclusively.
+    /// Non-const only for the Append and delete-mark paths (serialized under
+    /// mu_); query snapshots touch const methods exclusively.
     std::shared_ptr<MutableBuffer> buffer;
     std::vector<std::shared_ptr<const DynComponent>> components;
-    std::shared_ptr<const std::vector<TransactionId>> tombstones;
   };
 
   /// A planned reconstruction: consume `victims`, publish one component at
-  /// `out_level`. Tombstones in `tombstones` (the snapshot at plan time)
-  /// that hit a victim row are applied (row dropped) and purged at publish.
+  /// `out_level`. Victim rows marked deleted at gather time are dropped;
+  /// rows marked later are re-marked on the merged component at publish.
   struct MergePlan {
     std::vector<std::shared_ptr<const DynComponent>> victims;
-    std::shared_ptr<const std::vector<TransactionId>> tombstones;
     int out_level = 0;
   };
 
   Status AppendRowLocked(TransactionId gid, const Transaction& txn)
       MBI_REQUIRES(mu_);
-  /// Freezes the buffer into a level-0 component (dropping tombstoned rows,
-  /// purging their tombstones) and installs a fresh buffer.
+  /// Marks `gid` deleted in whichever part holds it and counts the
+  /// tombstone. kNotFound when it is already marked or no part holds it.
+  Status MarkDeletedLocked(TransactionId gid) MBI_REQUIRES(mu_);
+  /// Freezes the buffer into a level-0 component (dropping and purging
+  /// deleted rows) and installs a fresh buffer.
   void SpillLocked() MBI_REQUIRES(mu_);
   /// Claims the lowest overflowing level's merge (setting merge_in_flight_)
   /// and returns its plan, or nullopt when nothing overflows or a merge is
@@ -276,15 +295,17 @@ class DynamicIndex {
   void SubmitMerge(MergePlan plan);
   size_t CountAtLevelLocked(int level) const
       MBI_REQUIRES(mu_);
-  /// The three-phase background job: gather (drop tombstoned victims' rows),
-  /// build (re-mine the union), publish. Polls `budget` between phases and
-  /// abandons — leaving victims queryable — on expiry or cancellation.
+  /// The three-phase background job: gather (drop victims' deleted rows),
+  /// build (re-mine the union), publish (carry later deletes over, swap).
+  /// Polls `budget` between phases and abandons — leaving victims
+  /// queryable — on expiry or cancellation.
   void RunMerge(const MergePlan& plan, const QueryBudget& budget);
-  /// Swaps victims for the merged run, purges applied tombstones, and
+  /// Swaps victims for the merged run (whose marks RunMerge has already
+  /// carried over), retires the `purged` tombstones the merge dropped, and
   /// returns the cascade plan when the destination level now overflows.
   std::optional<MergePlan> PublishMergeLocked(
       const MergePlan& plan, std::shared_ptr<const DynComponent> merged,
-      const std::vector<TransactionId>& applied) MBI_REQUIRES(mu_);
+      size_t purged) MBI_REQUIRES(mu_);
   void AbandonMergeLocked() MBI_REQUIRES(mu_);
   void UpdateGaugesLocked() MBI_REQUIRES(mu_);
 
@@ -303,6 +324,9 @@ class DynamicIndex {
   State state_ MBI_GUARDED_BY(mu_);
   TransactionId next_gid_ MBI_GUARDED_BY(mu_) = 0;
   size_t live_rows_ MBI_GUARDED_BY(mu_) = 0;
+  /// Delete marks across the buffer and components (deleted rows not yet
+  /// purged); CheckInvariants recounts it from the masks.
+  size_t tombstones_ MBI_GUARDED_BY(mu_) = 0;
   bool merge_in_flight_ MBI_GUARDED_BY(mu_) = false;
 
   mutable Scheduler scheduler_;

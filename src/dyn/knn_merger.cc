@@ -4,28 +4,19 @@
 
 namespace mbi {
 
-void KnnMerger::Reset(size_t k, const std::vector<TransactionId>* tombstones) {
+void KnnMerger::Reset(size_t k) {
   k_ = k;
-  tombstones_ = tombstones;
   candidates_.clear();
   stats_ = QueryStats{};
 }
 
-bool KnnMerger::Tombstoned(TransactionId gid) const {
-  if (tombstones_ == nullptr) return false;
-  return std::binary_search(tombstones_->begin(), tombstones_->end(), gid);
-}
-
 void KnnMerger::AddComponent(const NearestNeighborResult& component) {
-  for (const Neighbor& neighbor : component.neighbors) {
-    if (Tombstoned(neighbor.id)) continue;
-    candidates_.push_back(neighbor);
-  }
+  candidates_.insert(candidates_.end(), component.neighbors.begin(),
+                     component.neighbors.end());
   MergeQueryStats(component.stats, &stats_);
 }
 
 void KnnMerger::AddCandidate(TransactionId gid, double similarity) {
-  if (Tombstoned(gid)) return;
   candidates_.push_back({gid, similarity});
 }
 

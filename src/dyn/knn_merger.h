@@ -16,32 +16,30 @@ namespace mbi {
 ///
 /// Soundness of the merge (the invariants dyn_differential_test gates):
 ///
-///  * Every component is asked for k' = k + |tombstones| neighbors, so even
-///    if every tombstoned row of a component lands in its top-k', at least
-///    k live candidates survive — no live global top-k row can hide below a
-///    component's cutoff.
+///  * Every part returns its k best *live* rows: components and the buffer
+///    skip delete-marked rows before top-k insertion (txn/delete_mask.h),
+///    so a component asked for min(k, |component|) neighbours already
+///    holds every live row of its share of the global top-k. Nothing is
+///    filtered here, and no over-fetch is needed.
 ///  * `certificate_bound` merges as MAX over components (MergeQueryStats):
 ///    the combined bound must dominate every component's unexplored region;
 ///    last-writer or sum would be unsound.
 ///  * `is_exact` merges as AND; `termination` as most-severe.
 ///  * Global ids are unique across components (a row lives in exactly one
-///    component or the buffer), so dedup reduces to dropping tombstoned
-///    gids — which this merger does, making deletes invisible to callers.
+///    component or the buffer), so the merge needs no dedup.
 ///  * Cutoff ties: the final sort is (similarity desc, gid asc), so the
 ///    *merge* is deterministic; within a component the usual caveat stands
 ///    (NearestNeighborResult::neighbors) — tie-group ids at a component's
-///    k'-th similarity are unspecified, values are exact.
+///    k-th similarity are unspecified, values are exact.
 class KnnMerger {
  public:
-  /// Starts a new merge for a top-`k` query over `tombstones` (borrowed,
-  /// sorted ascending; must outlive the merge).
-  void Reset(size_t k, const std::vector<TransactionId>* tombstones);
+  /// Starts a new merge for a top-`k` query.
+  void Reset(size_t k);
 
   /// Folds one component's result. Neighbor ids must already be GLOBAL.
   void AddComponent(const NearestNeighborResult& component);
 
-  /// Folds one scored candidate (the buffer scan path). Tombstoned gids are
-  /// dropped here like everywhere else.
+  /// Folds one scored live candidate (the buffer scan path).
   void AddCandidate(TransactionId gid, double similarity);
 
   /// Folds stats only — for the buffer scan (whose candidates arrive via
@@ -54,14 +52,11 @@ class KnnMerger {
   /// certificate fields). The merger can be Reset() and reused afterwards.
   void Finish(NearestNeighborResult* result);
 
-  /// Rows folded so far that survived the tombstone filter (for tests).
+  /// Rows folded so far (for tests).
   size_t candidate_count() const { return candidates_.size(); }
 
  private:
-  bool Tombstoned(TransactionId gid) const;
-
   size_t k_ = 0;
-  const std::vector<TransactionId>* tombstones_ = nullptr;
   std::vector<Neighbor> candidates_;
   QueryStats stats_;
 };

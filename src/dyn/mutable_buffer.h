@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "txn/delete_mask.h"
 #include "txn/transaction.h"
 #include "util/macros.h"
 
@@ -35,13 +36,17 @@ struct BufferedRow {
 ///    flag.
 ///  * Writers are serialized by the owning DynamicIndex's mutex; this class
 ///    does not defend against two concurrent Append calls.
+///  * Deletes mark a published row in place (DeleteMask: atomic bits, see
+///    txn/delete_mask.h); the scan skips marked rows and the spill drops
+///    them.
 ///
 /// A full buffer is never reset in place — DynamicIndex spills it into a
 /// static component and swaps in a fresh buffer, while readers holding the
 /// old snapshot keep scanning the (now immutable) old buffer.
 class MutableBuffer {
  public:
-  explicit MutableBuffer(size_t capacity) : rows_(capacity) {
+  explicit MutableBuffer(size_t capacity)
+      : rows_(capacity), deleted_(capacity) {
     MBI_CHECK(capacity >= 1);
   }
 
@@ -68,8 +73,13 @@ class MutableBuffer {
   /// Row `i`, which must be below a previously loaded size().
   const BufferedRow& row(size_t i) const { return rows_[i]; }
 
+  /// Delete marks over rows [0, size()); marked by the (serialized) writer.
+  DeleteMask& deleted() { return deleted_; }
+  const DeleteMask& deleted() const { return deleted_; }
+
  private:
   std::vector<BufferedRow> rows_;
+  DeleteMask deleted_;
   std::atomic<size_t> size_{0};
 };
 

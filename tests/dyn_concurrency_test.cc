@@ -197,5 +197,99 @@ TEST(DynConcurrencyTest, DeletesAndCompactionRaceQueries) {
   }
 }
 
+TEST(DynConcurrencyTest, DeletesRaceMergeWindowsAndQueries) {
+  // Each delete targets a row four inserts back, which usually sits in the
+  // buffer or in a level-0 run that a background merge is gathering or about
+  // to publish: the mark writes race the merge's reads, the publish's
+  // re-marking, and the readers' scans. A row whose delete finished before
+  // a query started must never be returned by it.
+  const uint64_t seed = FaultSeed();
+  QuestGeneratorConfig config;
+  config.universe_size = 150;
+  config.num_large_itemsets = 30;
+  config.seed = 4200 + seed;
+  QuestGenerator generator(config);
+
+  ThreadPool merge_pool(1);
+  DynamicIndexOptions options;
+  options.buffer_capacity = 8;
+  options.level_fanout = 2;
+  options.build.clustering.target_cardinality = 6;
+  options.pool = &merge_pool;
+  DynamicIndex index(150, options);
+
+  constexpr size_t kRows = 192;
+  constexpr size_t kLag = 4;
+  std::vector<Transaction> rows;
+  for (size_t i = 0; i < kRows; ++i) rows.push_back(generator.NextTransaction());
+  // Deleted gids are 0, 3, 6, ... in order; `deletes_done` counts those
+  // whose Delete has returned.
+  std::atomic<size_t> deletes_done{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (size_t i = 0; i < kRows; ++i) {
+      for (;;) {
+        StatusOr<TransactionId> gid = index.Insert(rows[i]);
+        if (gid.ok()) {
+          EXPECT_EQ(gid.value(), i);
+          break;
+        }
+        std::this_thread::yield();
+      }
+      if (i >= kLag && (i - kLag) % 3 == 0) {
+        EXPECT_TRUE(index.Delete(static_cast<TransactionId>(i - kLag)).ok());
+        deletes_done.fetch_add(1);
+      }
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      const MatchRatioFamily family;
+      QuestGeneratorConfig qconfig;
+      qconfig.universe_size = 150;
+      qconfig.seed = 5200 + seed * 10 + static_cast<uint64_t>(r);
+      QuestGenerator queries(qconfig);
+      DynQueryContext context;
+      NearestNeighborResult result;
+      while (!done.load()) {
+        const size_t finished = deletes_done.load();
+        index.FindKNearest(queries.NextTransaction(), family, 6,
+                           SearchOptions{}, &context, &result);
+        EXPECT_TRUE(result.guaranteed_exact);
+        for (const Neighbor& neighbor : result.neighbors) {
+          EXPECT_FALSE(neighbor.id % 3 == 0 && neighbor.id / 3 < finished)
+              << "gid " << neighbor.id << " deleted before the query";
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  index.WaitForMaintenance();
+
+  const size_t num_deleted = deletes_done.load();
+  EXPECT_TRUE(index.CheckInvariants().ok());
+  EXPECT_EQ(index.live_size(), kRows - num_deleted);
+  TransactionDatabase oracle(150);
+  for (size_t i = 0; i < kRows; ++i) {
+    if (!(i % 3 == 0 && i / 3 < num_deleted)) oracle.Add(rows[i]);
+  }
+  const MatchRatioFamily family;
+  const Transaction target = generator.NextTransaction();
+  NearestNeighborResult all =
+      index.FindKNearest(target, family, index.live_size());
+  const std::vector<Neighbor> expected =
+      SequentialScanner(&oracle).FindKNearest(target, family, oracle.size());
+  ASSERT_EQ(all.neighbors.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(all.neighbors[i].similarity, expected[i].similarity);
+    EXPECT_FALSE(all.neighbors[i].id % 3 == 0 &&
+                 all.neighbors[i].id / 3 < num_deleted)
+        << "deleted gid " << all.neighbors[i].id << " came back";
+  }
+}
+
 }  // namespace
 }  // namespace mbi

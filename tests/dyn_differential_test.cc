@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -30,6 +31,7 @@
 #include "kernel/dispatch.h"
 #include "txn/database.h"
 #include "txn/transaction.h"
+#include "util/rng.h"
 
 namespace mbi {
 namespace {
@@ -291,6 +293,126 @@ TEST(DynDifferentialTest, BudgetedFanOutCertifiesWhatItSkipped) {
     if (!returned) {
       EXPECT_GE(degraded.stats.certificate_bound, neighbor.similarity);
     }
+  }
+}
+
+/// Per-query means at each deleted fraction of the sweep: rows scored, and
+/// component rows fetched (dead ones included — they are read, then
+/// skipped).
+struct SweepCounts {
+  std::vector<double> mean_evaluated;
+  std::vector<double> mean_fetched;
+};
+
+/// Deleted-fraction sweep on a paper-shaped stream (T10.I6, 50K rows,
+/// buffer 1024, fanout 4, k = 10, 150 in-distribution targets cycling the
+/// paper's three functions). Deletes accumulate as marks with no merge to
+/// purge them; at every fraction each answer must equal the scan oracle over
+/// the live rows, and the rows evaluated and fetched are summed so callers
+/// can gate how pruning degrades with deletes — a count, not a time.
+SweepCounts RunDeletedFractionSweep(bool oldest_first) {
+  constexpr size_t kRows = 50'000;
+  constexpr size_t kTargets = 150;
+  constexpr size_t kK = 10;
+  constexpr uint32_t kUniverse = 1000;
+  QuestGeneratorConfig config;
+  config.universe_size = kUniverse;
+  config.num_large_itemsets = 2000;
+  config.avg_itemset_size = 6.0;
+  config.avg_transaction_size = 10.0;
+  config.seed = 12001;
+  QuestGenerator generator(config);
+
+  DynamicIndexOptions options;
+  options.buffer_capacity = 1024;
+  options.level_fanout = 4;
+  options.build.clustering.target_cardinality = 15;
+  DynamicIndex index(kUniverse, options);
+  std::vector<Transaction> rows;
+  rows.reserve(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    rows.push_back(generator.NextTransaction());
+    auto gid = index.Insert(rows.back());
+    EXPECT_TRUE(gid.ok());
+    EXPECT_EQ(gid.value(), i);
+  }
+  const std::vector<Transaction> targets = generator.GenerateQueries(kTargets);
+
+  std::vector<TransactionId> order(kRows);
+  for (size_t i = 0; i < kRows; ++i) order[i] = static_cast<TransactionId>(i);
+  if (!oldest_first) {
+    Rng rng(12002);
+    rng.Shuffle(&order);
+  }
+
+  const InverseHammingFamily hamming;
+  const MatchRatioFamily match_ratio;
+  const CosineFamily cosine;
+  const SimilarityFamily* families[] = {&hamming, &match_ratio, &cosine};
+  std::vector<bool> deleted(kRows, false);
+  size_t num_deleted = 0;
+  SweepCounts counts;
+  DynQueryContext context;
+  NearestNeighborResult result;
+  for (const double fraction : {0.0, 0.1, 0.3, 0.5}) {
+    const auto goal = static_cast<size_t>(fraction * kRows);
+    for (; num_deleted < goal; ++num_deleted) {
+      EXPECT_TRUE(index.Delete(order[num_deleted]).ok());
+      deleted[order[num_deleted]] = true;
+    }
+    EXPECT_TRUE(index.CheckInvariants().ok());
+    EXPECT_EQ(index.live_size(), kRows - num_deleted);
+    Oracle oracle(kUniverse);
+    for (size_t gid = 0; gid < kRows; ++gid) {
+      if (deleted[gid]) continue;
+      oracle.db.Add(rows[gid]);
+      oracle.gids.push_back(static_cast<TransactionId>(gid));
+    }
+    const SequentialScanner scanner(&oracle.db);
+    double evaluated = 0.0;
+    double fetched = 0.0;
+    for (size_t t = 0; t < kTargets; ++t) {
+      const SimilarityFamily& family = *families[t % 3];
+      index.FindKNearest(targets[t], family, kK, SearchOptions{}, &context,
+                         &result);
+      evaluated += static_cast<double>(result.stats.transactions_evaluated);
+      fetched += static_cast<double>(result.stats.io.transactions_fetched);
+      EXPECT_TRUE(result.guaranteed_exact);
+      const std::vector<Neighbor> expected =
+          scanner.FindKNearest(targets[t], family, kK);
+      EXPECT_EQ(result.neighbors.size(), expected.size());
+      for (size_t i = 0; i < std::min(expected.size(),
+                                      result.neighbors.size());
+           ++i) {
+        EXPECT_TRUE(SameSimilarity(result.neighbors[i].similarity,
+                                   expected[i].similarity))
+            << "fraction " << fraction << " target " << t << " position "
+            << i;
+        EXPECT_FALSE(deleted[result.neighbors[i].id])
+            << "deleted gid " << result.neighbors[i].id << " returned";
+      }
+    }
+    counts.mean_evaluated.push_back(evaluated / kTargets);
+    counts.mean_fetched.push_back(fetched / kTargets);
+    std::printf("%s deletes, %2.0f%% deleted: %.0f rows evaluated, %.0f "
+                "fetched per query\n",
+                oldest_first ? "oldest-first" : "uniform", fraction * 100,
+                counts.mean_evaluated.back(), counts.mean_fetched.back());
+  }
+  return counts;
+}
+
+TEST(DynDifferentialTest, DeletedFractionSweepStaysExactAndPrunes) {
+  for (const bool oldest_first : {true, false}) {
+    const SweepCounts counts = RunDeletedFractionSweep(oldest_first);
+    ASSERT_EQ(counts.mean_evaluated.size(), 4u);
+    // Every part is asked for its k best live rows, so half the rows
+    // deleted may cost pruning only what a sparser live set costs — not
+    // the full scan an over-fetch of k + |deleted| forces.
+    EXPECT_LE(counts.mean_evaluated[3], 2.5 * counts.mean_evaluated[0])
+        << (oldest_first ? "oldest-first" : "uniform");
+    EXPECT_LE(counts.mean_fetched[3], 2.5 * counts.mean_fetched[0])
+        << (oldest_first ? "oldest-first" : "uniform");
   }
 }
 

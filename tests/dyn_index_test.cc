@@ -1,17 +1,21 @@
 // Unit tests for the Bentley–Saxe dynamization (src/dyn/): buffer and spill
-// mechanics, leveling/merge policy, tombstone purging, admission control,
-// compaction, persistence (including per-component quarantine), and the
-// KnnMerger invariants. Cross-checking against the sequential-scan oracle
+// mechanics, leveling/merge policy, delete marks and their purging
+// (including the merge window and parts with fewer than k live rows),
+// admission control, compaction, persistence (including per-component
+// quarantine), and the KnnMerger invariants. Cross-checking against the sequential-scan oracle
 // lives in dyn_differential_test.cc; TSan interleavings in
 // dyn_concurrency_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "baseline/sequential_scan.h"
 #include "dyn/dyn_io.h"
 #include "dyn/dynamic_index.h"
 #include "dyn/knn_merger.h"
@@ -54,6 +58,44 @@ std::vector<TransactionId> FillIndex(DynamicIndex* index,
     gids.push_back(gid.value());
   }
   return gids;
+}
+
+/// Asserts `index` answers `target` with exactly the scan oracle's values
+/// over `live` (rows in ascending-gid order), certified exact, and with no
+/// gid outside `live_gids`.
+void ExpectExactOverLive(const DynamicIndex& index,
+                         const TransactionDatabase& live,
+                         const std::set<TransactionId>& live_gids,
+                         const Transaction& target, size_t k) {
+  const MatchRatioFamily family;
+  NearestNeighborResult result = index.FindKNearest(target, family, k);
+  const std::vector<Neighbor> expected =
+      SequentialScanner(&live).FindKNearest(target, family, k);
+  EXPECT_TRUE(result.guaranteed_exact);
+  EXPECT_TRUE(result.stats.is_exact);
+  ASSERT_EQ(result.neighbors.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.neighbors[i].similarity, expected[i].similarity);
+    EXPECT_EQ(live_gids.count(result.neighbors[i].id), 1u)
+        << "deleted gid " << result.neighbors[i].id << " returned";
+  }
+}
+
+/// Saves `index` and reloads it with component 0's table trashed, so that
+/// component answers through its (mask-bound) sequential scanner.
+std::unique_ptr<DynamicIndex> ReloadWithComponentZeroQuarantined(
+    const DynamicIndex& index, const DynamicIndexOptions& options,
+    const std::string& name) {
+  const std::string prefix = ::testing::TempDir() + name;
+  EXPECT_TRUE(DynIo::Save(index, prefix).ok());
+  auto file_or = Env::Default()->NewWritableFile(DynIo::TablePath(prefix, 0));
+  EXPECT_TRUE(file_or.ok());
+  const char garbage[] = "not a signature table";
+  EXPECT_TRUE(file_or.value()->Append(garbage, sizeof(garbage)).ok());
+  EXPECT_TRUE(file_or.value()->Close().ok());
+  auto loaded_or = DynIo::Load(prefix, options);
+  EXPECT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  return std::move(loaded_or).value();
 }
 
 TEST(MutableBufferTest, AppendsUntilFullAndPublishesInOrder) {
@@ -202,6 +244,149 @@ TEST(DynamicIndexTest, MergePurgesTombstonesAndPreservesAnswers) {
   }
 }
 
+TEST(DynamicIndexTest, PartsWithFewerThanKLiveRowsStayExact) {
+  // 16 rows merge into one level-1 component; 3 more stay buffered.
+  QuestGenerator generator(GeneratorConfig());
+  DynamicIndexOptions options = SmallOptions();
+  DynamicIndex index(200, options);
+  std::vector<TransactionId> gids = FillIndex(&index, &generator, 19);
+  ASSERT_EQ(index.num_components(), 1u);
+  ASSERT_EQ(index.buffered_rows(), 3u);
+  // Keep two live rows in the component and two in the buffer.
+  for (size_t i = 0; i < 19; ++i) {
+    if (i == 4 || i == 11 || i == 16 || i == 18) continue;
+    ASSERT_TRUE(index.Delete(gids[i]).ok());
+  }
+  ASSERT_TRUE(index.CheckInvariants().ok());
+
+  std::vector<Transaction> rows;
+  {
+    QuestGenerator replay(GeneratorConfig());
+    for (size_t i = 0; i < 19; ++i) rows.push_back(replay.NextTransaction());
+  }
+  auto live_of = [&](const std::vector<size_t>& keep, TransactionDatabase* db,
+                     std::set<TransactionId>* live_gids) {
+    for (size_t i : keep) {
+      db->Add(rows[i]);
+      live_gids->insert(gids[i]);
+    }
+  };
+  const Transaction target = generator.NextTransaction();
+
+  // Healthy path: the component's branch and bound holds 2 < k live rows.
+  TransactionDatabase live(200);
+  std::set<TransactionId> live_gids;
+  live_of({4, 11, 16, 18}, &live, &live_gids);
+  ExpectExactOverLive(index, live, live_gids, target, 10);
+  ExpectExactOverLive(index, live, live_gids, target, 3);
+
+  // Quarantined path: the same marks, answered by the component's scanner.
+  std::unique_ptr<DynamicIndex> quarantined =
+      ReloadWithComponentZeroQuarantined(index, options, "dyn_few_live");
+  ExpectExactOverLive(*quarantined, live, live_gids, target, 10);
+  EXPECT_GE(quarantined->FindKNearest(target, MatchRatioFamily(), 10)
+                .stats.sequential_fallbacks,
+            1u);
+
+  // Every component row deleted: only the buffer answers, still exact.
+  ASSERT_TRUE(index.Delete(gids[4]).ok());
+  ASSERT_TRUE(index.Delete(gids[11]).ok());
+  ASSERT_TRUE(quarantined->Delete(gids[4]).ok());
+  ASSERT_TRUE(quarantined->Delete(gids[11]).ok());
+  TransactionDatabase buffer_only(200);
+  std::set<TransactionId> buffer_gids;
+  live_of({16, 18}, &buffer_only, &buffer_gids);
+  ExpectExactOverLive(index, buffer_only, buffer_gids, target, 10);
+  ExpectExactOverLive(*quarantined, buffer_only, buffer_gids, target, 10);
+  EXPECT_TRUE(index.CheckInvariants().ok());
+  EXPECT_TRUE(quarantined->CheckInvariants().ok());
+}
+
+TEST(DynamicIndexTest, DeleteInTheMergeWindowNeverComesBack) {
+  // Wedge the single merge worker so the merge planned by the second spill
+  // waits; a delete of one of its victims' rows must stay deleted through
+  // the gather and the publish.
+  ThreadPool pool(1);
+  std::latch release(1);
+  pool.Submit([&release] { release.wait(); });
+
+  DynamicIndexOptions options = SmallOptions();
+  options.pool = &pool;
+  QuestGenerator generator(GeneratorConfig());
+  DynamicIndex index(200, options);
+  std::vector<TransactionId> gids = FillIndex(&index, &generator, 16);
+  ASSERT_EQ(index.num_components(), 2u);  // Both level-0 runs are victims.
+  ASSERT_TRUE(index.Delete(gids[3]).ok());
+  ASSERT_TRUE(index.Delete(gids[12]).ok());
+  EXPECT_TRUE(index.CheckInvariants().ok());
+
+  release.count_down();
+  index.WaitForMaintenance();
+  EXPECT_EQ(index.num_components(), 1u);
+  EXPECT_EQ(index.live_size(), 14u);
+  EXPECT_TRUE(index.CheckInvariants().ok());
+  EXPECT_EQ(index.Delete(gids[3]).code(), StatusCode::kNotFound);
+
+  MatchRatioFamily family;
+  NearestNeighborResult all =
+      index.FindKNearest(generator.NextTransaction(), family, 16);
+  EXPECT_EQ(all.neighbors.size(), 14u);
+  for (const Neighbor& neighbor : all.neighbors) {
+    EXPECT_NE(neighbor.id, gids[3]);
+    EXPECT_NE(neighbor.id, gids[12]);
+  }
+}
+
+TEST(DynComponentTest, CarryDeletesIntoRemarksLateDeletesAndPurgesTheRest) {
+  // Two victims of one merge, gids 0-3 and 4-7. Gid 1 was deleted before
+  // the gather (dropped from the merged run); gids 2 and 7 were deleted in
+  // the merge window, after the gather copied them.
+  QuestGenerator generator(GeneratorConfig());
+  IndexBuildConfig build = SmallOptions().build;
+  auto make = [&](int level, std::vector<TransactionId> gids,
+                  const std::vector<Transaction>& txns) {
+    TransactionDatabase db(200);
+    for (const Transaction& txn : txns) db.Add(txn);
+    return DynComponent::Create(level, std::move(gids), std::move(db), build);
+  };
+  std::vector<Transaction> rows;
+  for (int i = 0; i < 8; ++i) rows.push_back(generator.NextTransaction());
+  auto first = make(0, {0, 1, 2, 3}, {rows[0], rows[1], rows[2], rows[3]});
+  auto second = make(0, {4, 5, 6, 7}, {rows[4], rows[5], rows[6], rows[7]});
+  ASSERT_TRUE(first->deleted.Mark(1));
+  auto merged = make(1, {0, 2, 3, 4, 5, 6, 7},
+                     {rows[0], rows[2], rows[3], rows[4], rows[5], rows[6],
+                      rows[7]});
+  ASSERT_TRUE(first->deleted.Mark(2));
+  ASSERT_TRUE(second->deleted.Mark(3));
+
+  EXPECT_EQ(first->CarryDeletesInto(merged.get()), 1u);  // Gid 1: purged.
+  EXPECT_EQ(second->CarryDeletesInto(merged.get()), 0u);
+  EXPECT_EQ(merged->deleted.Count(), 2u);
+  EXPECT_TRUE(merged->deleted.IsMarked(1));  // Gid 2.
+  EXPECT_TRUE(merged->deleted.IsMarked(6));  // Gid 7.
+  // A merge that kept no row purges every mark.
+  EXPECT_EQ(second->CarryDeletesInto(nullptr), 1u);
+
+  // The merged engine and scanner skip the carried marks.
+  const MatchRatioFamily family;
+  for (const NearestNeighborResult& result :
+       {merged->engine->FindKNearest(rows[2], family, 7),
+        [&] {
+          NearestNeighborResult scan;
+          merged->scanner->FindKNearest(rows[2], family, 7, QueryBudget{},
+                                        &scan);
+          return scan;
+        }()}) {
+    EXPECT_EQ(result.neighbors.size(), 5u);
+    EXPECT_TRUE(result.guaranteed_exact);
+    for (const Neighbor& neighbor : result.neighbors) {
+      EXPECT_NE(neighbor.id, 1u);
+      EXPECT_NE(neighbor.id, 6u);
+    }
+  }
+}
+
 TEST(DynamicIndexTest, BackpressureRejectsWithRetryHintWhenLevelZeroIsFull) {
   // Wedge the merge pool with a blocker so the scheduled merge cannot run;
   // level 0 then fills to max_l0_components and the next spill-needing
@@ -294,6 +479,47 @@ TEST(DynIoTest, SaveLoadRoundTripsStateAndAnswers) {
   EXPECT_EQ(fresh.value(), index.next_gid());
 }
 
+TEST(DynIoTest, RoundTripReappliesMarksInBufferAndComponents) {
+  QuestGenerator generator(GeneratorConfig());
+  DynamicIndexOptions options = SmallOptions();
+  DynamicIndex index(200, options);
+  std::vector<TransactionId> gids = FillIndex(&index, &generator, 29);
+  ASSERT_EQ(index.buffered_rows(), 5u);
+  const std::vector<size_t> deleted = {0, 7, 8, 20, 25, 27};  // 25, 27 buffered.
+  for (size_t i : deleted) ASSERT_TRUE(index.Delete(gids[i]).ok());
+  ASSERT_EQ(index.tombstone_count(), deleted.size());
+
+  const std::string prefix = ::testing::TempDir() + "dyn_marks_roundtrip";
+  ASSERT_TRUE(DynIo::Save(index, prefix).ok());
+
+  // Reload as saved, and with a smaller buffer so the marked buffer rows
+  // spill into components on the way in (whose merges may then purge
+  // some of the marks).
+  DynamicIndexOptions small_buffer = options;
+  small_buffer.buffer_capacity = 2;
+  for (const DynamicIndexOptions& reload : {options, small_buffer}) {
+    auto loaded_or = DynIo::Load(prefix, reload);
+    ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+    std::unique_ptr<DynamicIndex> loaded = std::move(loaded_or).value();
+    EXPECT_TRUE(loaded->CheckInvariants().ok());
+    EXPECT_EQ(loaded->live_size(), 23u);
+    if (reload.buffer_capacity == options.buffer_capacity) {
+      EXPECT_EQ(loaded->tombstone_count(), deleted.size());
+      EXPECT_EQ(loaded->buffered_rows(), 5u);
+    }
+    for (size_t i : deleted) {
+      EXPECT_EQ(loaded->Delete(gids[i]).code(), StatusCode::kNotFound);
+    }
+    MatchRatioFamily family;
+    NearestNeighborResult all =
+        loaded->FindKNearest(generator.NextTransaction(), family, 29);
+    EXPECT_EQ(all.neighbors.size(), 23u);
+    for (const Neighbor& neighbor : all.neighbors) {
+      for (size_t i : deleted) EXPECT_NE(neighbor.id, gids[i]);
+    }
+  }
+}
+
 TEST(DynIoTest, CorruptTableQuarantinesOneComponentOnly) {
   QuestGenerator generator(GeneratorConfig());
   DynamicIndexOptions options = SmallOptions();
@@ -357,27 +583,30 @@ TEST(DynIoTest, CorruptRowsFailTheLoad) {
   EXPECT_FALSE(DynIo::Load(prefix, SmallOptions()).ok());
 }
 
-TEST(KnnMergerTest, DropsTombstonedRowsFromEveryPath) {
-  std::vector<TransactionId> tombstones = {5, 9};
+TEST(KnnMergerTest, MergesEveryPathByValueThenGid) {
+  // Parts hand in live rows only (deleted rows never leave a part), so the
+  // merger keeps every candidate from every path and just ranks them.
   KnnMerger merger;
-  merger.Reset(3, &tombstones);
+  merger.Reset(3);
   NearestNeighborResult component;
   component.neighbors = {{5, 0.9}, {1, 0.8}, {2, 0.7}};
   component.stats.is_exact = true;
   merger.AddComponent(component);
-  merger.AddCandidate(9, 1.0);  // Tombstoned buffer row.
-  merger.AddCandidate(4, 0.85);
+  merger.AddCandidate(9, 1.0);  // Buffer rows.
+  merger.AddCandidate(3, 0.9);
+  EXPECT_EQ(merger.candidate_count(), 5u);
   NearestNeighborResult merged;
   merger.Finish(&merged);
   ASSERT_EQ(merged.neighbors.size(), 3u);
-  EXPECT_EQ(merged.neighbors[0].id, 4u);
-  EXPECT_EQ(merged.neighbors[1].id, 1u);
-  EXPECT_EQ(merged.neighbors[2].id, 2u);
+  EXPECT_EQ(merged.neighbors[0].id, 9u);
+  EXPECT_EQ(merged.neighbors[1].id, 3u);  // Tied at 0.9: ascending gid.
+  EXPECT_EQ(merged.neighbors[2].id, 5u);
+  EXPECT_TRUE(merged.guaranteed_exact);
 }
 
 TEST(KnnMergerTest, CertificateAndExactnessFollowTheMergeRules) {
   KnnMerger merger;
-  merger.Reset(2, nullptr);
+  merger.Reset(2);
   NearestNeighborResult exact;
   exact.neighbors = {{1, 0.9}};
   exact.stats.is_exact = true;
