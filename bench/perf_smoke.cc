@@ -1,22 +1,20 @@
 // Perf-regression smoke harness for the query hot path.
 //
-// Every scenario is measured twice against the same data and must return
-// bit-identical results (oracle_equivalence_test.cc proves that):
+// Times the shipped k-NN path on one shared dataset: single-query latency
+// through a reused QueryContext, batch throughput on a caller-owned pool,
+// the packed-bitmap candidate kernel, and the MetricsOff/MetricsOn pair whose
+// ratio CI gates at < 3% (tools/check_metrics_overhead.py). A deadline sweep
+// then writes BENCH_overload.json.
 //
-//   *_Before  — the frozen pre-overhaul implementation
-//               (FindKNearest*Reference: full entry sort, fresh allocations
-//               per query, merge-scan candidate kernel; batch mode spawning
-//               a pool per call),
-//   *_After   — the overhauled path (lazy heap ordering, reused
-//               QueryContext, packed-bitmap kernel; batch mode on a
-//               caller-owned pool).
+// Run from the repo root of a Release build to (re)generate BENCH_core.json;
+// the committed file uses 5 repetitions, so each family reports its mean,
+// median, stddev and CV:
 //
-// Run from the repo root with no arguments to (re)generate BENCH_core.json:
-//
-//   ./build/bench/perf_smoke
+//   ./build/bench/perf_smoke --benchmark_repetitions=5
 //
 // CI runs it with --benchmark_min_time=0.05 as a build-and-run smoke test
-// and uploads the JSON; numbers are recorded, not gated.
+// and uploads the JSON; numbers are recorded, not gated, except the
+// MetricsOn/MetricsOff pair.
 
 #include <benchmark/benchmark.h>
 
@@ -75,25 +73,10 @@ struct SharedData {
   }()) {}
 };
 
-// --- Single-query latency: repeated k-NN queries, the context-reuse micro
-// path the overhaul targets. "Before" pays the full entry sort and fresh
-// allocations on every call. ---
+// --- Single-query latency: repeated k-NN queries through one reused
+// QueryContext. ---
 
-void BM_SingleQuery_Before(benchmark::State& state) {
-  const SharedData& data = SharedData::Get();
-  BranchAndBoundEngine engine(&data.db, &data.table);
-  MatchRatioFamily family;
-  const auto k = static_cast<size_t>(state.range(0));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.FindKNearestReference(
-        data.queries[i % data.queries.size()], family, k));
-    ++i;
-  }
-}
-BENCHMARK(BM_SingleQuery_Before)->Arg(1)->Arg(10)->Unit(benchmark::kMicrosecond);
-
-void BM_SingleQuery_After(benchmark::State& state) {
+void BM_SingleQuery(benchmark::State& state) {
   const SharedData& data = SharedData::Get();
   BranchAndBoundEngine engine(&data.db, &data.table);
   MatchRatioFamily family;
@@ -106,34 +89,12 @@ void BM_SingleQuery_After(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_SingleQuery_After)->Arg(1)->Arg(10)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SingleQuery)->Arg(1)->Arg(10)->Unit(benchmark::kMicrosecond);
 
-// --- Batch throughput: 64 queries per call. "Before" mirrors the old
-// FindKNearestBatch, which constructed a ThreadPool per call and ran every
-// query through reference-path allocations; "after" reuses one caller-owned
-// pool and per-shard contexts. ---
+// --- Batch throughput: 64 queries per call on one caller-owned pool with
+// per-shard contexts. ---
 
-void BM_BatchThroughput_Before(benchmark::State& state) {
-  const SharedData& data = SharedData::Get();
-  BranchAndBoundEngine engine(&data.db, &data.table);
-  MatchRatioFamily family;
-  for (auto _ : state) {
-    ThreadPool pool(4);  // The old per-call spawn, made explicit.
-    std::vector<NearestNeighborResult> results(data.queries.size());
-    for (size_t i = 0; i < data.queries.size(); ++i) {
-      pool.Submit([&, i] {
-        results[i] = engine.FindKNearestReference(data.queries[i], family, 10);
-      });
-    }
-    pool.Wait();
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.queries.size()));
-}
-BENCHMARK(BM_BatchThroughput_Before)->Unit(benchmark::kMillisecond);
-
-void BM_BatchThroughput_After(benchmark::State& state) {
+void BM_BatchThroughput(benchmark::State& state) {
   const SharedData& data = SharedData::Get();
   BranchAndBoundEngine engine(&data.db, &data.table);
   MatchRatioFamily family;
@@ -146,7 +107,7 @@ void BM_BatchThroughput_After(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.queries.size()));
 }
-BENCHMARK(BM_BatchThroughput_After)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchThroughput)->Unit(benchmark::kMillisecond);
 
 // --- Metrics overhead: the same steady-state k-NN hot path through the
 // SignatureTableEngine front end, with instrumentation disabled vs enabled.
@@ -204,27 +165,10 @@ void BM_SingleQuery_MetricsOn(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleQuery_MetricsOn)->Unit(benchmark::kMicrosecond);
 
-// --- Candidate kernel: score one target against the whole database,
-// merge-scan vs packed-bitmap probing. ---
+// --- Candidate kernel: score one target against the whole database by
+// packed-bitmap probing. ---
 
-void BM_CandidateKernel_Before(benchmark::State& state) {
-  const SharedData& data = SharedData::Get();
-  const Transaction& target = data.queries[0];
-  for (auto _ : state) {
-    size_t total = 0;
-    for (TransactionId id = 0; id < data.db.size(); ++id) {
-      size_t match = 0, hamming = 0;
-      MatchAndHamming(target, data.db.Get(id), &match, &hamming);
-      total += match + hamming;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.db.size()));
-}
-BENCHMARK(BM_CandidateKernel_Before)->Unit(benchmark::kMillisecond);
-
-void BM_CandidateKernel_After(benchmark::State& state) {
+void BM_CandidateKernel(benchmark::State& state) {
   const SharedData& data = SharedData::Get();
   PackedTarget packed;
   packed.Assign(data.queries[0], data.db.universe_size());
@@ -240,7 +184,7 @@ void BM_CandidateKernel_After(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.db.size()));
 }
-BENCHMARK(BM_CandidateKernel_After)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CandidateKernel)->Unit(benchmark::kMillisecond);
 
 // --- Overload sweep: latency and answer quality as the per-query deadline
 // tightens. Hand-rolled (google-benchmark owns one --benchmark_out file per

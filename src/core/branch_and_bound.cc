@@ -5,9 +5,9 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
-#include <numeric>
 
 #include "core/bounds.h"
+#include "core/entry_order.h"
 #include "core/query_context.h"
 #include "txn/packed_target.h"
 #include "util/macros.h"
@@ -233,26 +233,14 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
       options.sort_order == EntrySortOrder::kOptimisticBound ? ctx.optimistic_
                                                              : ctx.order_keys_;
 
-  // Lazy entry ordering: a max-heap over entry indices replaces the full
-  // sort. The comparator is a total order (key, then index), so the pop
-  // sequence is exactly the fully-sorted visit order — but a query that
-  // prunes or terminates after m pops pays O(n + m log n) instead of
-  // O(n log n).
-  auto visit_after = [&keys](uint32_t a, uint32_t b) {
-    if (keys[a] != keys[b]) return keys[a] < keys[b];
-    return a > b;
-  };
-  std::vector<uint32_t>& order_heap = ctx.entry_heap_;
-  order_heap.resize(num_entries);
-  std::iota(order_heap.begin(), order_heap.end(), 0u);
-  std::make_heap(order_heap.begin(), order_heap.end(), visit_after);
-  size_t remaining = num_entries;
-  auto pop_next = [&]() {
-    std::pop_heap(order_heap.begin(),
-                  order_heap.begin() + static_cast<ptrdiff_t>(remaining),
-                  visit_after);
-    return order_heap[--remaining];
-  };
+  // Entry ordering (paper §4): a stable counting sort over the query's few
+  // distinct key values yields the visit order (key descending, index
+  // ascending) — the order the Reference path's full sort produces — in
+  // O(E + D log D), and the scan walks it with a cursor.
+  OrderByKeyDescending(keys.data(), num_entries, &ctx.order_scratch_,
+                       &ctx.entry_order_);
+  const std::vector<uint32_t>& order = ctx.entry_order_;
+  size_t cursor = 0;
 
   result.stats.database_size = database_->size();
   result.stats.entries_total = num_entries;
@@ -338,11 +326,11 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   bool terminated_early = false;
   QueryTermination termination = QueryTermination::kCompleted;
   double max_pruned_bound = kNegInfinity;
-  while (remaining > 0) {
+  while (cursor < num_entries) {
     // Cooperative budget check, entry granularity. Guarded on at least one
     // scanned entry so a degraded answer always carries at least one real
     // candidate (an already-expired deadline still returns the best of the
-    // top-ranked entry, never an empty neighbor list); the first pop can
+    // top-ranked entry, never an empty neighbor list); the first entry can
     // never prune (the k-heap cannot be full before the first scan), so
     // entries_scanned > 0 always holds from the second iteration on.
     if (budget_limited && result.stats.entries_scanned > 0) {
@@ -362,23 +350,23 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
         break;
       }
     }
-    uint32_t entry_index = pop_next();
+    const uint32_t entry_index = order[cursor++];
     double optimistic = ctx.optimistic_[entry_index];
     if (knn_heap.size() == k &&
         optimistic <= pessimistic() + options.optimality_gap) {
       max_pruned_bound = std::max(max_pruned_bound, optimistic);
       record_trace(entry_index, EntryTrace::Action::kPruned);
       if (options.sort_order == EntrySortOrder::kOptimisticBound) {
-        // Entries are visited in decreasing optimistic bound, so everything
-        // still in the heap is prunable too; it only has to be popped when a
-        // trace wants the per-entry records in visit order.
-        result.stats.entries_pruned += remaining + 1;
+        // Entries are visited in decreasing optimistic bound, so the whole
+        // tail is prunable too; it is only walked when a trace wants the
+        // per-entry records in visit order.
+        result.stats.entries_pruned += num_entries - cursor + 1;
         if (options.collect_trace) {
-          while (remaining > 0) {
-            record_trace(pop_next(), EntryTrace::Action::kPruned);
+          for (; cursor < num_entries; ++cursor) {
+            record_trace(order[cursor], EntryTrace::Action::kPruned);
           }
         }
-        remaining = 0;
+        cursor = num_entries;
         break;
       }
       ++result.stats.entries_pruned;
@@ -395,7 +383,8 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
     } else {
       for (TransactionId id : ctx.candidate_ids_) evaluate_candidate(id);
     }
-    if (result.stats.transactions_evaluated >= budget && remaining > 0) {
+    if (result.stats.transactions_evaluated >= budget &&
+        cursor < num_entries) {
       terminated_early = true;
       termination = QueryTermination::kAccessFraction;
       break;
@@ -403,25 +392,15 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   }
 
   // Early-termination certificate (paper §4.2): the best similarity any
-  // unexplored entry could still hold. Without a trace the max is computed
-  // directly over the heap's remaining elements (order is irrelevant for a
-  // max); with a trace the entries are popped so the records appear in visit
-  // order, exactly as a full sort would have produced them.
+  // unexplored entry could still hold, a max over the unvisited tail of the
+  // order (which a trace records in visit order).
   double unexplored_bound = kNegInfinity;
   if (terminated_early) {
-    result.stats.entries_unexplored = remaining;
-    if (options.collect_trace) {
-      while (remaining > 0) {
-        uint32_t entry_index = pop_next();
-        unexplored_bound =
-            std::max(unexplored_bound, ctx.optimistic_[entry_index]);
-        record_trace(entry_index, EntryTrace::Action::kUnexplored);
-      }
-    } else {
-      for (size_t i = 0; i < remaining; ++i) {
-        unexplored_bound =
-            std::max(unexplored_bound, ctx.optimistic_[order_heap[i]]);
-      }
+    result.stats.entries_unexplored = num_entries - cursor;
+    for (; cursor < num_entries; ++cursor) {
+      unexplored_bound =
+          std::max(unexplored_bound, ctx.optimistic_[order[cursor]]);
+      record_trace(order[cursor], EntryTrace::Action::kUnexplored);
     }
   }
   result.unexplored_optimistic_bound = unexplored_bound;

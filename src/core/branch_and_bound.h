@@ -148,11 +148,12 @@ struct RangeQueryResult {
 /// one index, any admissible f(x, y).
 ///
 /// Hot-path structure (see DESIGN.md "Query hot path"): entries are visited
-/// through a lazy max-heap keyed by the sort order, so only the prefix of
-/// the visit order a query actually consumes is materialized; per-query
-/// scratch lives in a caller-suppliable QueryContext so repeated queries
-/// allocate nothing on the steady state; and candidate evaluation probes a
-/// word-packed target bitmap instead of merge-scanning item vectors. All of
+/// in an order built by a stable counting sort over the query's few
+/// distinct sort keys (core/entry_order.h), O(E + D log D) rather than a
+/// full O(E log E) sort; per-query scratch lives in a caller-suppliable
+/// QueryContext so repeated queries allocate nothing on the steady state;
+/// and candidate evaluation probes a word-packed target bitmap instead of
+/// merge-scanning item vectors. All of
 /// it is bit-identical to the straightforward sort-everything merge-scan
 /// implementation, which is retained as FindKNearest*Reference and pinned by
 /// oracle_equivalence_test.cc.
@@ -227,8 +228,7 @@ class BranchAndBoundEngine {
   /// Frozen pre-overhaul implementation: full std::sort of all occupied
   /// entries, fresh allocations per query, merge-scan MatchAndHamming.
   /// Kept as the semantic reference — oracle_equivalence_test.cc asserts the
-  /// overhauled path returns bit-identical results, and bench/perf_smoke.cc
-  /// uses it as the "before" measurement. Do not optimize.
+  /// overhauled path returns bit-identical results. Do not optimize.
   NearestNeighborResult FindKNearestReference(
       const Transaction& target, const SimilarityFamily& family, size_t k,
       const SearchOptions& options = {}) const;

@@ -7,6 +7,7 @@
 
 #include "core/bounds.h"
 #include "core/branch_and_bound.h"
+#include "core/entry_order.h"
 #include "core/similarity.h"
 #include "txn/packed_target.h"
 #include "txn/transaction.h"
@@ -17,16 +18,17 @@ namespace mbi {
 /// Reusable per-query workspace for BranchAndBoundEngine.
 ///
 /// The engine itself is stateless and read-only; everything a query needs at
-/// runtime — bound-calculator tables, the entry-order heap, the candidate-id
-/// scratch buffer, the k-nearest heap, the packed target bitmaps — lives
-/// here. A caller that answers many queries (batch mode, benchmarks, the
-/// `mbi query` CLI loop) constructs one context and passes it to every call;
-/// after the first few queries have grown the buffers, the steady state
-/// allocates nothing beyond the returned result vectors — and the
-/// result-out FindKNearest overload eliminates those too: with a warm
-/// (context, result) pair the whole query is allocation-free, which
-/// query_context_test enforces at runtime with ScopedAllocationBan and
-/// mbi-lint enforces statically via the MBI_HOT rules (util/hot_path.h).
+/// runtime — bound-calculator tables, the entry visit order and its
+/// counting-sort scratch, the candidate-id scratch buffer, the k-nearest
+/// heap, the packed target bitmaps — lives here. A caller that answers many
+/// queries (batch mode, benchmarks, the `mbi query` CLI loop) constructs one
+/// context and passes it to every call; after the first few queries have
+/// grown the buffers, the steady state allocates nothing beyond the returned
+/// result vectors — and the result-out FindKNearest overload eliminates
+/// those too: with a warm (context, result) pair the whole query is
+/// allocation-free, which query_context_test enforces at runtime with
+/// ScopedAllocationBan and mbi-lint enforces statically via the MBI_HOT
+/// rules (util/hot_path.h).
 /// Per-target similarity bindings reuse warm function objects through
 /// SimilarityFamily::RebindTarget.
 ///
@@ -86,8 +88,9 @@ class QueryContext {
   std::vector<PackedTarget> packed_targets_;
   std::vector<int> counts_scratch_;  // r_j scratch for calculator rebinding.
 
-  // --- Entry ordering (lazy max-heap over entry indices). ---
-  std::vector<uint32_t> entry_heap_;
+  // --- Entry ordering (counting sort over distinct keys, core/entry_order.h).
+  std::vector<uint32_t> entry_order_;  // Entry indices in visit order.
+  EntryOrderScratch order_scratch_;
   std::vector<double> optimistic_;  // Optimistic bound per entry index.
   std::vector<double> order_keys_;  // Sort keys for the alternative order.
   // SIMD bounds-kernel output, t-major: slot t * num_entries + i holds

@@ -1,7 +1,7 @@
-// Oracle-equivalence suite for the overhauled query hot path: the lazy
-// entry-ordering / packed-kernel / context-reusing engine must return
-// *bit-identical* NearestNeighborResults — neighbors, exactness certificate,
-// bounds, tie-breaks, stats, and traces — to
+// Oracle-equivalence suite for the overhauled query hot path: the
+// counting-sort entry-ordering / packed-kernel / context-reusing engine must
+// return *bit-identical* NearestNeighborResults — neighbors, exactness
+// certificate, bounds, tie-breaks, stats, and traces — to
 //
 //  (a) the frozen pre-overhaul implementation
 //      (BranchAndBoundEngine::FindKNearest*Reference: full std::sort,
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -228,7 +229,48 @@ TEST(OracleEquivalenceMultiTargetTest, MatchesReferenceAndSequentialScan) {
   }
 }
 
-// --- Degenerate shapes the lazy orderer must handle like the sort did. ---
+// Many targets average their bounds, so a query's keys take many distinct
+// values; the counting-sort order must still match the full sort, including
+// the pruned and unexplored tails a trace records.
+TEST(OracleEquivalenceMultiTargetTest, ManyTargetsMatchReferenceWithTrace) {
+  Fixture fixture = MakeFixture(77, 9, 1, /*db_size=*/1500, /*num_queries=*/10);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  QueryContext context;
+  std::vector<Transaction> targets(fixture.queries.begin(),
+                                   fixture.queries.begin() + 9);
+  for (const char* family_name : {"hamming", "match_ratio", "cosine"}) {
+    auto family = MakeSimilarityFamily(family_name);
+    for (EntrySortOrder order : {EntrySortOrder::kOptimisticBound,
+                                 EntrySortOrder::kSupercoordinateSimilarity}) {
+      for (const OptionShape& shape : kShapes) {
+        SearchOptions options;
+        options.sort_order = order;
+        options.max_access_fraction = shape.max_access_fraction;
+        options.optimality_gap = shape.optimality_gap;
+        options.collect_trace = true;
+        NearestNeighborResult reference =
+            engine.FindKNearestMultiTargetReference(targets, *family, 6,
+                                                    options);
+        NearestNeighborResult result = engine.FindKNearestMultiTarget(
+            targets, *family, 6, options, &context);
+        ExpectSameResult(result, reference,
+                         std::string(family_name) + " 9 targets " + shape.name);
+        if (shape.max_access_fraction == 1.0) {
+          // An exact traced query records every entry: check the averaged
+          // bounds really are mostly distinct.
+          std::set<double> distinct;
+          for (const EntryTrace& entry : result.trace) {
+            distinct.insert(entry.optimistic_bound);
+          }
+          EXPECT_GT(2 * distinct.size(), fixture.table.entries().size())
+              << family_name;
+        }
+      }
+    }
+  }
+}
+
+// --- Degenerate shapes the orderer must handle like the sort did. ---
 
 TEST(OracleEquivalenceEdgeTest, KLargerThanDatabase) {
   Fixture fixture = MakeFixture(13, 7, 1, /*db_size=*/40, /*num_queries=*/4);

@@ -8,17 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/batch_query.h"
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "core/query_context.h"
+#include "core/supercoordinate.h"
 #include "gen/quest_generator.h"
 #include "util/alloc_guard.h"
 #include "util/thread_pool.h"
@@ -290,6 +294,114 @@ TEST(QueryContextTest, SteadyStateQueriesDoNotAllocate) {
   NearestNeighborResult fresh =
       engine.FindKNearest(fixture.queries[0], *hamming, 5, options);
   ExpectSameResult(result, fresh, "after banned passes");
+}
+
+/// The ordering scratch is sized by entry count, never by how many distinct
+/// keys a query has. After warming on one target, three queries run
+/// allocation-free: another target with more distinct keys than any warm-up
+/// query, under the bound order and under the supercoordinate-similarity
+/// order, and then a second, smaller table through the same context (how
+/// DynamicIndex reuses one context across its components).
+TEST(QueryContextTest, OrderingScratchDoesNotAllocateOnceWarm) {
+  Fixture large = MakeFixture(808, 9, 1500, 12);
+  Fixture small = MakeFixture(809, 9, 300, 2);
+  ASSERT_LT(small.table.entries().size(), large.table.entries().size());
+  BranchAndBoundEngine large_engine(&large.db, &large.table);
+  BranchAndBoundEngine small_engine(&small.db, &small.table);
+  auto family = MakeSimilarityFamily("match_ratio");
+
+  // Distinct keys per target under each order: the optimistic bounds,
+  // read from an exact traced query (its trace records every entry), and
+  // the supercoordinate similarities the alternative order ranks by.
+  auto distinct_keys = [&](const Transaction& target) {
+    SearchOptions traced;
+    traced.collect_trace = true;
+    NearestNeighborResult r =
+        large_engine.FindKNearest(target, *family, 4, traced);
+    EXPECT_EQ(r.trace.size(), large.table.entries().size());
+    std::set<double> bounds;
+    for (const EntryTrace& entry : r.trace) {
+      bounds.insert(entry.optimistic_bound);
+    }
+    const Supercoordinate coordinate = ComputeSupercoordinate(
+        target, large.table.partition(), large.table.activation_threshold());
+    const auto function = family->ForTarget(target);
+    std::set<double> similarities;
+    for (const auto& entry : large.table.entries()) {
+      int match = 0, hamming = 0;
+      SupercoordinateMatchAndHamming(entry.coordinate, coordinate, &match,
+                                     &hamming);
+      similarities.insert(function->Evaluate(match, hamming));
+    }
+    return std::pair{bounds.size(), similarities.size()};
+  };
+  // Warm on the target whose larger count is smallest; query the one whose
+  // smaller count is largest, which must exceed every warm-up query's.
+  size_t warm = 0;
+  size_t fresh = 0;
+  std::vector<std::pair<size_t, size_t>> counts;
+  for (size_t q = 0; q < large.queries.size(); ++q) {
+    counts.push_back(distinct_keys(large.queries[q]));
+    const auto [b, c] = counts[q];
+    if (std::max(b, c) < std::max(counts[warm].first, counts[warm].second)) {
+      warm = q;
+    }
+    if (std::min(b, c) > std::min(counts[fresh].first, counts[fresh].second)) {
+      fresh = q;
+    }
+  }
+  ASSERT_GT(std::min(counts[fresh].first, counts[fresh].second),
+            std::max(counts[warm].first, counts[warm].second));
+  const Transaction& warm_target = large.queries[warm];
+  const Transaction& new_target = large.queries[fresh];
+
+  SearchOptions by_bound;
+  SearchOptions by_coordinate;
+  by_coordinate.sort_order = EntrySortOrder::kSupercoordinateSimilarity;
+  QueryContext context;
+  NearestNeighborResult result;
+  // Warm-up on the one target: a k that scans every entry grows the
+  // candidate buffers to the largest bucket, then both orders.
+  large_engine.FindKNearest(warm_target, *family, large.db.size(), by_bound,
+                            &context, &result);
+  for (int pass = 0; pass < 2; ++pass) {
+    large_engine.FindKNearest(warm_target, *family, 4, by_bound, &context,
+                              &result);
+    large_engine.FindKNearest(warm_target, *family, 4, by_coordinate,
+                              &context, &result);
+  }
+
+  NearestNeighborResult more_keys;
+  NearestNeighborResult coordinate_order;
+  NearestNeighborResult small_table;
+  more_keys.neighbors.reserve(4);
+  coordinate_order.neighbors.reserve(4);
+  small_table.neighbors.reserve(4);
+  const uint64_t before = AllocGuardViolations();
+  {
+    ScopedAllocationBan ban("warm ordering scratch");
+    large_engine.FindKNearest(new_target, *family, 4, by_bound, &context,
+                              &more_keys);
+    large_engine.FindKNearest(new_target, *family, 4, by_coordinate,
+                              &context, &coordinate_order);
+    small_engine.FindKNearest(new_target, *family, 4, by_bound, &context,
+                              &small_table);
+  }
+  EXPECT_EQ(AllocGuardViolations(), before)
+      << "a warm context allocated while ordering entries; "
+         "AllocGuardEnabled()="
+      << AllocGuardEnabled();
+
+  ExpectSameResult(more_keys,
+                   large_engine.FindKNearest(new_target, *family, 4, by_bound),
+                   "more distinct keys");
+  ExpectSameResult(
+      coordinate_order,
+      large_engine.FindKNearest(new_target, *family, 4, by_coordinate),
+      "supercoordinate order");
+  ExpectSameResult(small_table,
+                   small_engine.FindKNearest(new_target, *family, 4, by_bound),
+                   "smaller table");
 }
 
 /// Same contract for the batch entry point: a warm (workspace, results) pair
