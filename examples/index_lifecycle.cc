@@ -3,19 +3,40 @@
 // append new transactions incrementally, and answer a parallel batch of
 // queries against the updated index.
 //
+// Writes go through DynamicIndex (Bentley–Saxe leveling, DESIGN.md §13):
+// the initial rows are inserted and compacted into one signature-table
+// component, new rows land in a buffer that spills into fresh components,
+// and every built table stays immutable.
+//
 //   ./index_lifecycle [--transactions=30000] [--inserts=5000] [--seed=23]
 
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
-#include "core/batch_query.h"
-#include "core/branch_and_bound.h"
-#include "core/index_builder.h"
-#include "core/table_io.h"
+#include "dyn/dyn_io.h"
+#include "dyn/dynamic_index.h"
 #include "gen/quest_generator.h"
-#include "txn/database_io.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
+
+namespace {
+
+// Inserts `count` generated rows; false (after reporting) on the first error.
+bool InsertRows(mbi::DynamicIndex* index, mbi::QuestGenerator* generator,
+                int64_t count) {
+  for (int64_t i = 0; i < count; ++i) {
+    auto gid = index->Insert(generator->NextTransaction());
+    if (!gid.ok()) {
+      std::fprintf(stderr, "error: %s\n", gid.status().ToString().c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   mbi::FlagParser flags("Index persistence, incremental growth, batches.");
@@ -26,72 +47,73 @@ int main(int argc, char** argv) {
   flags.AddInt64("inserts", 5'000, "transactions appended after reopening",
                  &inserts);
   flags.AddInt64("seed", 23, "generator seed", &seed);
-  flags.AddString("dir", "/tmp", "directory for the data and index files",
-                  &dir);
+  flags.AddString("dir", "/tmp", "directory for the index files", &dir);
   if (!flags.Parse(argc, argv)) return 0;
 
-  const std::string db_path = dir + "/lifecycle.mbid";
-  const std::string index_path = dir + "/lifecycle.mbst";
+  const std::string index_prefix = dir + "/lifecycle.mbdyn";
 
-  // Day 0: build and persist.
+  // Day 0: build and persist. The initial rows fit the buffer, so Compact
+  // mines and builds one component over all of them — the offline index.
   mbi::QuestGeneratorConfig gen_config;
   gen_config.universe_size = 1000;
   gen_config.num_large_itemsets = 2000;
   gen_config.avg_transaction_size = 10.0;
   gen_config.seed = static_cast<uint64_t>(seed);
   mbi::QuestGenerator generator(gen_config);
-  mbi::TransactionDatabase db =
-      generator.GenerateDatabase(static_cast<uint64_t>(transactions));
 
+  mbi::DynamicIndexOptions options;
+  options.build.clustering.target_cardinality = 14;
+  options.buffer_capacity = static_cast<size_t>(transactions);
   mbi::Stopwatch timer;
-  mbi::IndexBuildConfig build;
-  build.clustering.target_cardinality = 14;
-  mbi::SignatureTable built = mbi::BuildIndex(db, build);
-  std::printf("built index over %zu transactions in %.2fs\n", db.size(),
-              timer.ElapsedSeconds());
+  mbi::DynamicIndex built(gen_config.universe_size, options);
+  if (!InsertRows(&built, &generator, transactions)) return 1;
+  if (mbi::Status status = built.Compact(); !status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  std::printf("built index over %zu transactions in %.2fs\n",
+              built.live_size(), timer.ElapsedSeconds());
 
-  if (!mbi::SaveDatabase(db, db_path).ok() ||
-      !mbi::SaveSignatureTable(built, index_path).ok()) {
+  if (!mbi::DynIo::Save(built, index_prefix).ok()) {
     std::fprintf(stderr, "error: cannot write to %s\n", dir.c_str());
     return 1;
   }
-  std::printf("persisted database -> %s, index -> %s\n", db_path.c_str(),
-              index_path.c_str());
+  const size_t saved_components = built.num_components();
+  std::printf("persisted index -> %s (%zu components)\n", index_prefix.c_str(),
+              saved_components);
 
-  // Day 1: reopen without re-mining or re-clustering.
+  // Day 1: reopen without re-mining or re-clustering. New sales spill
+  // through a smaller buffer into their own components.
   timer.Reset();
-  auto reopened_db = mbi::LoadDatabase(db_path);
-  if (!reopened_db.ok()) {
-    std::fprintf(stderr, "error: %s\n", reopened_db.status().ToString().c_str());
+  options.buffer_capacity = 1024;
+  auto reopened = mbi::DynIo::Load(index_prefix, options);
+  if (!reopened.ok()) {
+    std::fprintf(stderr, "error: %s\n", reopened.status().ToString().c_str());
     return 1;
   }
-  auto table = mbi::LoadSignatureTable(index_path, *reopened_db);
-  if (!table.ok()) {
-    std::fprintf(stderr, "error: %s\n", table.status().ToString().c_str());
-    return 1;
-  }
+  mbi::DynamicIndex& index = **reopened;
   std::printf("reopened in %.2fs (no support mining, no clustering)\n",
               timer.ElapsedSeconds());
 
-  // New sales arrive: append incrementally — the partition is reused, each
-  // basket lands in its supercoordinate's bucket.
   timer.Reset();
-  for (int64_t i = 0; i < inserts; ++i) {
-    mbi::Transaction fresh = generator.NextTransaction();
-    table->InsertTransaction(reopened_db->Add(fresh), fresh);
-  }
-  std::printf("appended %lld transactions in %.2fs (%llu entries occupied)\n",
-              static_cast<long long>(inserts), timer.ElapsedSeconds(),
-              static_cast<unsigned long long>(table->entries().size()));
+  if (!InsertRows(&index, &generator, inserts)) return 1;
+  index.WaitForMaintenance();
+  std::printf(
+      "appended %lld transactions in %.2fs (%zu components, %zu buffered)\n",
+      static_cast<long long>(inserts), timer.ElapsedSeconds(),
+      index.num_components(), index.buffered_rows());
 
   // Evening batch job: score a batch of query baskets in parallel.
-  mbi::BranchAndBoundEngine engine(&*reopened_db, &*table);
   mbi::MatchRatioFamily family;
   auto batch = generator.GenerateQueries(64);
-  mbi::SearchOptions options;
-  options.max_access_fraction = 0.02;
+  mbi::SearchOptions search;
+  search.max_access_fraction = 0.02;
+  mbi::DynBatchWorkspace workspace;
+  std::vector<mbi::NearestNeighborResult> results;
   timer.Reset();
-  auto results = mbi::FindKNearestBatch(engine, batch, family, 5, options);
+  index.FindKNearestBatch(batch, family, 5, search,
+                          std::thread::hardware_concurrency(),
+                          /*pool=*/nullptr, &workspace, &results);
   double elapsed = timer.ElapsedSeconds();
 
   double avg_access = 0.0;
@@ -108,7 +130,10 @@ int main(int argc, char** argv) {
       100.0 * avg_access / static_cast<double>(results.size()), certified,
       results.size());
 
-  std::remove(db_path.c_str());
-  std::remove(index_path.c_str());
+  std::remove(index_prefix.c_str());
+  for (size_t i = 0; i < saved_components; ++i) {
+    std::remove(mbi::DynIo::RowsPath(index_prefix, i).c_str());
+    std::remove(mbi::DynIo::TablePath(index_prefix, i).c_str());
+  }
   return 0;
 }

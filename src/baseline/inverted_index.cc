@@ -97,11 +97,10 @@ InvertedIndex::Result InvertedIndex::FindKNearest(
 
   // Phase 2: fetch candidates in id order through an optional buffer pool,
   // tracking the distinct pages the scattered fetches touch. Re-ranking
-  // probes the packed target bitmap (bit-identical to the merge scan).
-  const bool use_layout = layout_.num_rows() >= database_->size();
+  // runs the SIMD match kernel over the layout (bit-identical to the merge
+  // scan); candidates come from postings built with it, so it covers them.
   PackedTarget packed;
-  packed.Assign(target, database_->universe_size(),
-                use_layout ? &layout_ : nullptr);
+  packed.Assign(target, database_->universe_size(), &layout_);
   BufferPool pool(&sequential_store_.page_store(), buffer_pool_pages_);
   pool.set_metrics(metrics_registry_);
   std::unordered_set<PageId> touched;
@@ -136,24 +135,16 @@ InvertedIndex::Result InvertedIndex::FindKNearest(
       }
     }
     const size_t len = std::min(kScanChunk, num_candidates - base);
-    if (use_layout) {
-      packed.MatchAndHammingBatch(candidates.data() + base, len, chunk_match,
-                                  chunk_hamming);
-    }
+    packed.MatchAndHammingBatch(candidates.data() + base, len, chunk_match,
+                                chunk_hamming);
     for (size_t i = 0; i < len; ++i) {
       const TransactionId id = candidates[base + i];
       touched.insert(sequential_store_.PageOfTransaction(id));
       sequential_store_.FetchTransaction(
           id, buffer_pool_pages_ > 0 ? &pool : nullptr, &result.io);
-      size_t match = 0, hamming = 0;
-      if (use_layout) {
-        match = chunk_match[i];
-        hamming = chunk_hamming[i];
-      } else {
-        packed.MatchAndHamming(database_->Get(id), &match, &hamming);
-      }
-      scored.push_back({id, similarity->Evaluate(static_cast<int>(match),
-                                                 static_cast<int>(hamming))});
+      scored.push_back(
+          {id, similarity->Evaluate(static_cast<int>(chunk_match[i]),
+                                    static_cast<int>(chunk_hamming[i]))});
     }
     rows_scanned += len;
   }

@@ -128,8 +128,8 @@ class InvertedIndex {
   std::vector<CompressedPostingList> compressed_postings_;    // Compressed.
   TransactionStore sequential_store_;
   /// Blocked candidate bitmap for phase-2 re-ranking through the SIMD match
-  /// kernel (built over the construction-time database snapshot; queries
-  /// against a grown database fall back to the per-candidate probe).
+  /// kernel. Built with the postings, so it covers every candidate they
+  /// can yield.
   CandidateLayout layout_;
   size_t buffer_pool_pages_;
   MetricsRegistry* metrics_registry_ = nullptr;

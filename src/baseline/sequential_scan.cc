@@ -95,7 +95,6 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
   // contract holds without state.
   uint32_t match[kScanChunk];
   uint32_t hamming[kScanChunk];
-  const bool use_layout = packed.has_layout();
   for (size_t base = 0; base < n; base += kScanChunk) {
     // Budget check between chunks, never before the first: a degraded scan
     // always carries at least kScanChunk real candidates (or the whole
@@ -118,7 +117,7 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
       }
     }
     const size_t len = std::min(kScanChunk, n - base);
-    if (use_layout) {
+    if (packed.has_layout()) {
       // Stream the blocked layout through the SIMD match kernel.
       packed.MatchAndHammingRows(static_cast<TransactionId>(base), len, match,
                                  hamming);

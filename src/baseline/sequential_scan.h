@@ -10,6 +10,7 @@
 #include "txn/delete_mask.h"
 #include "txn/packed_target.h"
 #include "util/hot_path.h"
+#include "util/macros.h"
 #include "util/metrics.h"
 
 namespace mbi {
@@ -25,12 +26,13 @@ namespace mbi {
 /// quarantine fallback reports real I/O for range queries too.
 class SequentialScanner {
  public:
-  /// With a non-null `layout` (a blocked candidate bitmap covering
-  /// `database`, see txn/candidate_layout.h), single-target scans stream
-  /// the dense rows through the runtime-dispatched SIMD match kernel in
-  /// fixed-size chunks; the default keeps the legacy per-candidate probe,
-  /// preserving this class's role as an independent oracle. Results are
-  /// bit-identical either way.
+  /// With a non-null `layout` (a blocked candidate bitmap, see
+  /// txn/candidate_layout.h), single-target scans stream the dense rows
+  /// through the runtime-dispatched SIMD match kernel in fixed-size chunks.
+  /// The layout must cover every database row when a query runs; a scan
+  /// over a database that outgrew it aborts. The default (null) keeps the
+  /// per-candidate probe, preserving this class's role as an independent
+  /// oracle. Results are bit-identical either way.
   ///
   /// With a non-null `deleted` (a dyn part's delete marks, borrowed) every
   /// scan skips marked rows: they are still read and charged, never scored.
@@ -118,12 +120,13 @@ class SequentialScanner {
                                          const QueryBudget& budget,
                                          std::vector<Neighbor>* scored) const;
 
-  /// The layout in effect for this query, or null when the (optional)
-  /// layout does not cover every current database row.
+  /// The layout this query scans, or null for the probe path. A bound
+  /// layout must cover every current database row.
   const CandidateLayout* EffectiveLayout() const {
-    return layout_ != nullptr && layout_->num_rows() >= database_->size()
-               ? layout_
-               : nullptr;
+    MBI_CHECK_MSG(
+        layout_ == nullptr || layout_->num_rows() >= database_->size(),
+        "candidate layout must cover every database row");
+    return layout_;
   }
 
   /// True when `id` carries a delete mark (never, without a mask).

@@ -58,6 +58,8 @@ BranchAndBoundEngine::BranchAndBoundEngine(const TransactionDatabase* database,
         std::make_shared<const CandidateLayout>(CandidateLayout::Build(*database));
     layout_ = owned_layout_.get();
   }
+  MBI_CHECK_MSG(layout_->num_rows() >= table->num_indexed_transactions(),
+                "candidate layout must cover every row the table indexes");
 }
 
 NearestNeighborResult BranchAndBoundEngine::FindNearest(
@@ -153,18 +155,13 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   if (ctx.packed_targets_.size() < num_targets) {
     ctx.packed_targets_.resize(num_targets);
   }
-  // The blocked layout only serves ids it covers; transactions appended
-  // after its build take the legacy probe path (checked once per query so
-  // a dynamic insert mid-stream can never read past the layout).
-  const bool use_layout =
-      layout_ != nullptr && layout_->num_rows() >= database_->size();
   for (size_t t = 0; t < num_targets; ++t) {
     family.RebindTarget(targets[t], &ctx.functions_[t]);
     table_->partition().CountsPerSignature(targets[t], &ctx.counts_scratch_);
     ctx.calculators_[t].Reset(ctx.counts_scratch_,
                               table_->activation_threshold());
     ctx.packed_targets_[t].Assign(targets[t], database_->universe_size(),
-                                  use_layout ? layout_ : nullptr);
+                                  layout_);
   }
   const double target_count = static_cast<double>(num_targets);
 
@@ -272,25 +269,12 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
       std::push_heap(knn_heap.begin(), knn_heap.end(), BetterThan());
     }
   };
-  auto evaluate_candidate = [&](TransactionId id) {
-    const Transaction& candidate = database_->Get(id);
-    double sum = 0.0;
-    for (size_t t = 0; t < num_targets; ++t) {
-      size_t match = 0, hamming = 0;
-      // Packed probe kernel; bit-identical to the merge-scan MatchAndHamming.
-      ctx.packed_targets_[t].MatchAndHamming(candidate, &match, &hamming);
-      sum += ctx.functions_[t]->Evaluate(static_cast<int>(match),
-                                         static_cast<int>(hamming));
-    }
-    // Divide (not multiply by a reciprocal) so the value is bit-identical to
-    // an oracle computing sum / n — ties then compare exactly.
-    finish_candidate(id, sum / target_count);
-  };
   // Batched evaluation of one entry's candidate list through the SIMD
-  // match kernel. Same integer x/y per candidate, same ascending-t
-  // accumulation, same division, same heap-update order as
-  // evaluate_candidate — bit-identical results, proven at the engine level
-  // by kernel_test.cc's forced-ISA sweep against FindKNearestReference.
+  // match kernel. Integer x/y per candidate, targets accumulated in
+  // ascending t, and the sum divided (not multiplied by a reciprocal) so
+  // each score is bit-identical to an oracle computing sum / n — ties then
+  // compare exactly. Proven at the engine level by kernel_test.cc's
+  // forced-ISA sweep against FindKNearestReference.
   auto evaluate_candidates_batch = [&](const TransactionId* ids, size_t n) {
     if (ctx.match_scratch_.size() < n) {
       ctx.match_scratch_.resize(n);
@@ -377,12 +361,8 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
                                    &ctx.candidate_ids_);
     ++result.stats.entries_scanned;
     if (deleted_ != nullptr) DropDeleted(&ctx.candidate_ids_);
-    if (use_layout) {
-      evaluate_candidates_batch(ctx.candidate_ids_.data(),
-                                ctx.candidate_ids_.size());
-    } else {
-      for (TransactionId id : ctx.candidate_ids_) evaluate_candidate(id);
-    }
+    evaluate_candidates_batch(ctx.candidate_ids_.data(),
+                              ctx.candidate_ids_.size());
     if (result.stats.transactions_evaluated >= budget &&
         cursor < num_entries) {
       terminated_early = true;
@@ -646,11 +626,8 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   }
   BoundCalculator calculator(table_->partition().CountsPerSignature(target),
                              table_->activation_threshold());
-  const bool use_layout =
-      layout_ != nullptr && layout_->num_rows() >= database_->size();
   PackedTarget packed;
-  packed.Assign(target, database_->universe_size(),
-                use_layout ? layout_ : nullptr);
+  packed.Assign(target, database_->universe_size(), layout_);
 
   RangeQueryResult result;
   result.stats.database_size = database_->size();
@@ -713,21 +690,14 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
     table_->FetchEntryTransactions(i, &result.stats.io, &ids);
     ++result.stats.entries_scanned;
     if (deleted_ != nullptr) DropDeleted(&ids);
-    if (use_layout) {
-      match_scratch.resize(ids.size());
-      hamming_scratch.resize(ids.size());
-      packed.MatchAndHammingBatch(ids.data(), ids.size(), match_scratch.data(),
-                                  hamming_scratch.data());
-    }
+    match_scratch.resize(ids.size());
+    hamming_scratch.resize(ids.size());
+    packed.MatchAndHammingBatch(ids.data(), ids.size(), match_scratch.data(),
+                                hamming_scratch.data());
     for (size_t c = 0; c < ids.size(); ++c) {
       const TransactionId id = ids[c];
-      size_t match = 0, hamming = 0;
-      if (use_layout) {
-        match = match_scratch[c];
-        hamming = hamming_scratch[c];
-      } else {
-        packed.MatchAndHamming(database_->Get(id), &match, &hamming);
-      }
+      const uint32_t match = match_scratch[c];
+      const uint32_t hamming = hamming_scratch[c];
       ++result.stats.transactions_evaluated;
       bool qualifies = true;
       double primary_similarity = 0.0;

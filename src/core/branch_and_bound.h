@@ -152,8 +152,8 @@ struct RangeQueryResult {
 /// distinct sort keys (core/entry_order.h), O(E + D log D) rather than a
 /// full O(E log E) sort; per-query scratch lives in a caller-suppliable
 /// QueryContext so repeated queries allocate nothing on the steady state;
-/// and candidate evaluation probes a word-packed target bitmap instead of
-/// merge-scanning item vectors. All of
+/// and candidate evaluation runs the SIMD match kernel over a blocked
+/// candidate layout instead of merge-scanning item vectors. All of
 /// it is bit-identical to the straightforward sort-everything merge-scan
 /// implementation, which is retained as FindKNearest*Reference and pinned by
 /// oracle_equivalence_test.cc.
@@ -162,9 +162,9 @@ class BranchAndBoundEngine {
   /// `layout` is the blocked candidate bitmap the SIMD match kernel scans;
   /// null builds a private one from `database`. Pass a shared layout
   /// (SignatureTableEngine does) when several engines serve one database.
-  /// The layout is a snapshot: queries issued after the database grows past
-  /// `layout->num_rows()` automatically fall back to the per-candidate
-  /// probe path (bit-identical, just slower) until a fresh layout is bound.
+  /// A table is immutable once built or loaded, so the layout must cover
+  /// every row it indexes (`layout->num_rows() >=
+  /// table->num_indexed_transactions()`); that is checked here, once.
   ///
   /// `deleted` (a dyn part's delete marks, borrowed like the layout) makes
   /// the k-NN and range searches drop marked rows before scoring: a dead

@@ -91,34 +91,6 @@ const std::vector<PageId>& SignatureTable::PagesOfEntry(
   return store_.PagesOfBucket(entries_[entry_index].bucket);
 }
 
-void SignatureTable::InsertTransaction(TransactionId id,
-                                       const Transaction& transaction) {
-  MBI_CHECK_MSG(id == coordinate_of_transaction_.size(),
-                "transactions must be inserted in database id order");
-  Supercoordinate coordinate = ComputeSupercoordinate(
-      transaction, partition_, config_.activation_threshold);
-  coordinate_of_transaction_.push_back(coordinate);
-
-  // Locate (or create) the directory entry, keeping `entries_` sorted by
-  // coordinate while bucket ids stay stable.
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), coordinate,
-      [](const Entry& entry, Supercoordinate value) {
-        return entry.coordinate < value;
-      });
-  if (it == entries_.end() || it->coordinate != coordinate) {
-    Entry fresh;
-    fresh.coordinate = coordinate;
-    fresh.bucket = store_.AddBucket();
-    it = entries_.insert(it, fresh);
-    coordinates_.insert(coordinates_.begin() + (it - entries_.begin()),
-                        coordinate);
-  }
-  ++it->transaction_count;
-  store_.AppendToBucket(it->bucket, id,
-                        PageStore::SerializedSize(transaction));
-}
-
 SignatureTable::Stats SignatureTable::ComputeStats() const {
   Stats stats;
   stats.cardinality = cardinality();

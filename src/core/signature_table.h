@@ -46,8 +46,8 @@ class SignatureTable {
     Supercoordinate coordinate = 0;
     uint32_t transaction_count = 0;
     /// Bucket id in the backing TransactionStore. Build assigns buckets in
-    /// coordinate order; dynamic inserts append new buckets at the end, so
-    /// the bucket id is stable while `entries()` stays coordinate-sorted.
+    /// coordinate order; the id is kept explicit so a loaded artifact may
+    /// map entries to buckets in any order.
     uint32_t bucket = 0;
   };
 
@@ -68,14 +68,6 @@ class SignatureTable {
                               SignaturePartition partition,
                               const SignatureTableConfig& config);
 
-  /// Indexes one more transaction, which must already have been appended to
-  /// the database this table was built over (`id` equal to the table's
-  /// current transaction count, `transaction` the corresponding row).
-  /// Computes the supercoordinate, creates a directory entry if the
-  /// coordinate is new, and appends the row to the entry's disk bucket.
-  /// O(|T| + log(occupied entries)) plus the page append.
-  void InsertTransaction(TransactionId id, const Transaction& transaction);
-
   /// Number of transactions currently indexed.
   uint64_t num_indexed_transactions() const {
     return coordinate_of_transaction_.size();
@@ -91,7 +83,7 @@ class SignatureTable {
   /// The entries' supercoordinates as a contiguous array parallel to
   /// `entries()` (coordinates()[i] == entries()[i].coordinate). The SIMD
   /// bounds kernel (BoundCalculator::ComputeBatch) wants a dense uint32
-  /// stream; maintained alongside entries_ on insert.
+  /// stream.
   const std::vector<Supercoordinate>& coordinates() const {
     return coordinates_;
   }

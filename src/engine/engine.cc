@@ -37,11 +37,6 @@ void SignatureTableEngine::AdoptTable(SignatureTable table) {
   engine_.reset();  // Points into the old table; drop it first.
   table_.emplace(std::move(table));
   table_->set_metrics(metrics_registry_);
-  // Refresh the shared candidate layout when the database outgrew it, so a
-  // rebuilt index queries at full kernel speed again.
-  if (layout_.num_rows() < database_->size()) {
-    layout_ = CandidateLayout::Build(*database_);
-  }
   engine_.emplace(database_, &*table_, &layout_);
   {
     MutexLock lock(&state_mu_);

@@ -183,10 +183,9 @@ class SignatureTableEngine {
 
   const TransactionDatabase* const database_;
   /// Blocked candidate bitmap shared by the branch-and-bound engine and the
-  /// sequential fallback (one build per database snapshot instead of one
-  /// per component). Rebuilt by AdoptTable when the database has grown;
-  /// queries issued against rows beyond its coverage fall back to the
-  /// per-candidate probe path inside each component.
+  /// sequential fallback (one build per engine instead of one per
+  /// component). Built over the whole database at construction; an adopted
+  /// table indexes at most those rows, which the engine checks when bound.
   CandidateLayout layout_;
   SequentialScanner scanner_;
   /// table_/engine_ are written only by OpenIndex/AdoptTable, which the

@@ -61,9 +61,7 @@ class ItemBandMap {
 };
 
 /// The per-transaction blocked bitmap + sparse-tail store the match kernel
-/// scans. Immutable after Build(); rebuilt wholesale when the database
-/// grows past its row count (call sites fall back to the legacy probe path
-/// for rows the layout does not cover yet).
+/// scans. Immutable after Build().
 class BlockedLayout {
  public:
   class Builder {

@@ -43,30 +43,6 @@ void PageStore::SealCurrentPage() {
   }
 }
 
-bool PageStore::TryAppendToPage(PageId page, TransactionId id,
-                                uint32_t serialized_size) {
-  MBI_CHECK(page < pages_.size());
-  MBI_CHECK_MSG(serialized_size <= page_size_bytes_,
-                "transaction larger than a page");
-  Page& target = pages_[page];
-  if (target.used_bytes + serialized_size > page_size_bytes_) return false;
-  target.transaction_ids.push_back(id);
-  target.used_bytes += serialized_size;
-  return true;
-}
-
-PageId PageStore::AppendToFreshPage(TransactionId id,
-                                    uint32_t serialized_size) {
-  MBI_CHECK_MSG(serialized_size <= page_size_bytes_,
-                "transaction larger than a page");
-  pages_.emplace_back();
-  if (pages_written_metric_ != nullptr) pages_written_metric_->Increment();
-  Page& fresh = pages_.back();
-  fresh.transaction_ids.push_back(id);
-  fresh.used_bytes = serialized_size;
-  return static_cast<PageId>(pages_.size() - 1);
-}
-
 PageStore PageStore::FromPages(uint32_t page_size_bytes,
                                std::vector<Page> pages) {
   PageStore store(page_size_bytes);

@@ -50,16 +50,6 @@ class PageStore {
   /// boundaries so one bucket never shares a page with another).
   void SealCurrentPage();
 
-  /// Appends `id` to an existing page if it still has room; returns false
-  /// (and leaves the page untouched) when it does not fit. Used by dynamic
-  /// inserts to extend a bucket's last page.
-  bool TryAppendToPage(PageId page, TransactionId id,
-                       uint32_t serialized_size);
-
-  /// Opens a brand-new page holding only `id` (never extends the tail page —
-  /// the tail may belong to a different bucket). Returns the new page.
-  PageId AppendToFreshPage(TransactionId id, uint32_t serialized_size);
-
   /// Reads a page, charging one physical page read to `stats` (if non-null)
   /// and to the mbi.pagestore.pages_read counter when metrics are wired.
   const Page& Read(PageId page, IoStats* stats) const;

@@ -137,25 +137,4 @@ TransactionStore TransactionStore::FromParts(
   return store;
 }
 
-uint32_t TransactionStore::AddBucket() {
-  bucket_pages_.emplace_back();
-  return static_cast<uint32_t>(bucket_pages_.size() - 1);
-}
-
-void TransactionStore::AppendToBucket(uint32_t bucket, TransactionId id,
-                                      uint32_t serialized_size) {
-  MBI_CHECK(bucket < bucket_pages_.size());
-  MBI_CHECK_MSG(id == page_of_transaction_.size(),
-                "transactions must be appended in id order");
-  std::vector<PageId>& pages = bucket_pages_[bucket];
-  if (!pages.empty() &&
-      page_store_.TryAppendToPage(pages.back(), id, serialized_size)) {
-    page_of_transaction_.push_back(pages.back());
-    return;
-  }
-  PageId fresh = page_store_.AppendToFreshPage(id, serialized_size);
-  pages.push_back(fresh);
-  page_of_transaction_.push_back(fresh);
-}
-
 }  // namespace mbi

@@ -67,17 +67,6 @@ class TransactionStore {
   /// The page a transaction lives on.
   PageId PageOfTransaction(TransactionId id) const;
 
-  /// Registers a new (empty) bucket and returns its id. Used by dynamic
-  /// inserts when a transaction maps to a previously unseen supercoordinate.
-  uint32_t AddBucket();
-
-  /// Appends transaction `id` to `bucket`, extending the bucket's last page
-  /// when it has room and opening a fresh page otherwise (buckets never share
-  /// pages). `id` must be the next transaction id in sequence — the store
-  /// mirrors the append-only database.
-  void AppendToBucket(uint32_t bucket, TransactionId id,
-                      uint32_t serialized_size);
-
   const PageStore& page_store() const { return page_store_; }
 
   /// Forwards to the backing PageStore's set_metrics (mbi.pagestore.*).

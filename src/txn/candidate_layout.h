@@ -20,9 +20,9 @@ struct CandidateLayoutConfig {
 
 /// Database-wide blocked candidate bitmap (kernel/blocked_layout.h) keyed by
 /// TransactionId: row i is transaction i's dense frequent-item bits, tail i
-/// its infrequent items. Immutable snapshot — engines check
-/// `num_rows() >= database.size()` per query and fall back to the legacy
-/// sparse probe for transactions appended after the build.
+/// its infrequent items. Immutable: whoever binds a layout checks once that
+/// it covers every row it will be asked for (BranchAndBoundEngine at
+/// construction, SequentialScanner per scan, since its database may grow).
 class CandidateLayout {
  public:
   CandidateLayout() = default;

@@ -32,9 +32,10 @@ namespace mbi {
 ///
 /// Two candidate-side forms coexist:
 ///
-///   * the per-candidate sparse probe above (`MatchAndHamming`), used when
-///     no blocked layout covers the candidate — candidates stay in their
-///     sparse sorted-vector form;
+///   * the per-candidate sparse probe above (`MatchAndHamming`), used where
+///     rows have no blocked layout (the dyn buffer scan and the layout-less
+///     SequentialScanner oracle) — candidates stay in their sparse
+///     sorted-vector form;
 ///   * the batch form (`MatchAndHammingBatch` / `MatchAndHammingRows`),
 ///     which runs the runtime-dispatched AND+popcount SIMD kernel
 ///     (kernel/dispatch.h) over a prebuilt `CandidateLayout`'s dense

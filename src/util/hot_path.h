@@ -14,9 +14,10 @@
 //     moment it holds anything).
 //
 // Enforcement is two-sided and cross-checking:
-//   * statically, tools/mbi_lint.py rules `no-alloc-in-hot` and
-//     `no-unbounded-container-in-hot` scan MBI_HOT function bodies
-//     (including lambdas defined inside them);
+//   * statically, tools/mbi_lint.py rule `no-unbounded-container-in-hot`
+//     scans MBI_HOT function bodies (including lambdas defined inside
+//     them), and the interprocedural hot-path check in tools/analyze/
+//     follows their calls;
 //   * dynamically, ScopedAllocationBan in query_context_test asserts the
 //     warm steady state allocates nothing at all — catching allocations
 //     the linter can't see (inside callees, inside libstdc++).

@@ -53,6 +53,20 @@ TEST(SequentialScannerTest, ChargesStreamingIo) {
   EXPECT_LT(stats.pages_read, 100u);
 }
 
+TEST(SequentialScannerTest, LayoutMustCoverTheDatabase) {
+  // A bound layout is never silently dropped: a scan over rows it does not
+  // cover dies instead of answering through another path.
+  QuestGenerator generator(GeneratorConfig());
+  TransactionDatabase db = generator.GenerateDatabase(200);
+  const CandidateLayout layout = CandidateLayout::Build(db);
+  SequentialScanner scanner(&db, &layout);
+  MatchRatioFamily family;
+  const Transaction target = generator.NextTransaction();
+  EXPECT_EQ(scanner.FindKNearest(target, family, 3).size(), 3u);
+  db.Add(generator.NextTransaction());
+  EXPECT_DEATH(scanner.FindKNearest(target, family, 3), "cover");
+}
+
 // --- InvertedIndex ---
 
 TEST(InvertedIndexTest, PostingsAreExact) {

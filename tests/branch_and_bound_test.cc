@@ -37,6 +37,16 @@ Fixture MakeFixture(uint64_t seed, uint32_t cardinality,
   return {std::move(db), std::move(table), std::move(queries)};
 }
 
+QuestGeneratorConfig GeneratorConfig(uint64_t seed) {
+  QuestGeneratorConfig config;
+  config.universe_size = 250;
+  config.num_large_itemsets = 60;
+  config.avg_itemset_size = 5.0;
+  config.avg_transaction_size = 9.0;
+  config.seed = seed;
+  return config;
+}
+
 bool SameSimilarities(const std::vector<Neighbor>& a,
                       const std::vector<Neighbor>& b) {
   if (a.size() != b.size()) return false;
@@ -316,6 +326,93 @@ TEST(BranchAndBoundTest, RejectsMismatchedUniverse) {
   Fixture fixture = MakeFixture(59, 8);
   TransactionDatabase other(999);
   EXPECT_DEATH(BranchAndBoundEngine(&other, &fixture.table), "universe");
+}
+
+TEST(BranchAndBoundTest, RejectsLayoutThatMissesTableRows) {
+  // A table is immutable, so the layout is checked once, when it is bound:
+  // one built over a prefix of the indexed rows is refused up front.
+  Fixture fixture = MakeFixture(61, 8);
+  TransactionDatabase prefix(fixture.db.universe_size());
+  for (TransactionId id = 0; id < fixture.db.size() / 2; ++id) {
+    prefix.Add(fixture.db.Get(id));
+  }
+  const CandidateLayout layout = CandidateLayout::Build(prefix);
+  EXPECT_DEATH(BranchAndBoundEngine(&fixture.db, &fixture.table, &layout),
+               "cover");
+}
+
+// --- Gap-bounded approximate search (paper §4.2, second mode) ---
+
+TEST(OptimalityGapTest, GapZeroIsExactAndGapBoundsHold) {
+  QuestGenerator generator(GeneratorConfig(317));
+  TransactionDatabase db = generator.GenerateDatabase(2000);
+  IndexBuildConfig build;
+  build.clustering.target_cardinality = 10;
+  SignatureTable table = BuildIndex(db, build);
+  BranchAndBoundEngine engine(&db, &table);
+  SequentialScanner scanner(&db);
+  MatchRatioFamily family;
+
+  for (int q = 0; q < 8; ++q) {
+    Transaction target = generator.NextTransaction();
+    auto oracle = scanner.FindKNearest(target, family, 1);
+    for (double gap : {0.0, 0.1, 0.5}) {
+      SearchOptions options;
+      options.optimality_gap = gap;
+      auto result = engine.FindNearest(target, family, options);
+      double found = result.neighbors[0].similarity;
+      double truth = oracle[0].similarity;
+      if (std::isinf(truth)) {
+        // Identical transaction exists; inf bounds prune only at inf.
+        EXPECT_TRUE(std::isinf(found));
+        continue;
+      }
+      EXPECT_GE(found + gap, truth) << "gap " << gap << " violated";
+      if (gap == 0.0) {
+        EXPECT_EQ(found, truth);
+        EXPECT_TRUE(result.guaranteed_exact);
+      }
+      // The uniform quality bound must always hold.
+      EXPECT_GE(std::max(found, result.best_unscanned_bound), truth);
+    }
+  }
+}
+
+TEST(OptimalityGapTest, LargerGapPrunesMore) {
+  QuestGenerator generator(GeneratorConfig(331));
+  TransactionDatabase db = generator.GenerateDatabase(3000);
+  IndexBuildConfig build;
+  build.clustering.target_cardinality = 10;
+  SignatureTable table = BuildIndex(db, build);
+  BranchAndBoundEngine engine(&db, &table);
+  MatchRatioFamily family;
+
+  uint64_t evaluated_exact = 0, evaluated_gap = 0;
+  for (int q = 0; q < 10; ++q) {
+    Transaction target = generator.NextTransaction();
+    evaluated_exact +=
+        engine.FindNearest(target, family).stats.transactions_evaluated;
+    SearchOptions options;
+    options.optimality_gap = 0.5;
+    auto result = engine.FindNearest(target, family, options);
+    evaluated_gap += result.stats.transactions_evaluated;
+  }
+  EXPECT_LT(evaluated_gap, evaluated_exact);
+}
+
+TEST(OptimalityGapTest, RejectsNegativeGap) {
+  QuestGenerator generator(GeneratorConfig(337));
+  TransactionDatabase db = generator.GenerateDatabase(50);
+  IndexBuildConfig build;
+  build.clustering.target_cardinality = 4;
+  SignatureTable table = BuildIndex(db, build);
+  BranchAndBoundEngine engine(&db, &table);
+  MatchRatioFamily family;
+  SearchOptions options;
+  options.optimality_gap = -0.1;
+  EXPECT_DEATH(engine.FindNearest(generator.NextTransaction(), family,
+                                  options),
+               "non-negative");
 }
 
 }  // namespace

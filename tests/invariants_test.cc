@@ -63,18 +63,6 @@ TEST(SignatureTableInvariantsTest, HoldAfterBuild) {
   }
 }
 
-TEST(SignatureTableInvariantsTest, HoldAfterDynamicInserts) {
-  QuestGenerator generator(GeneratorConfig(7002));
-  TransactionDatabase db = generator.GenerateDatabase(300);
-  SignatureTable table = BuildTable(db);
-  for (int i = 0; i < 150; ++i) {
-    Transaction fresh = generator.NextTransaction();
-    TransactionId id = db.Add(fresh);
-    table.InsertTransaction(id, fresh);
-  }
-  table.CheckInvariants(&db);
-}
-
 TEST(SignatureTableInvariantsTest, HoldAfterSaveLoadRoundtrip) {
   QuestGenerator generator(GeneratorConfig(7003));
   TransactionDatabase db = generator.GenerateDatabase(400);

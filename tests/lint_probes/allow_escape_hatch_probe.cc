@@ -4,7 +4,6 @@
 // Not compiled; linter input only (see README.md).
 
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -31,15 +30,7 @@ MBI_HOT int HotSuppressed(int x) {
   // Multi-rule form: one comment, several rules.
   std::vector<int> v;  // mbi-lint: allow(no-unbounded-container-in-hot, no-naked-new)
   v.push_back(x);
-  auto p = std::make_unique<int>(x);  // mbi-lint: allow(no-alloc-in-hot)
-  return v.back() + *p;
-}
-
-class Env;
-Env* TestEnv();
-
-void DropSuppressed() {
-  TestEnv()->RenameFile("a", "b");  // mbi-lint: allow(status-discipline)
+  return v.back();
 }
 
 }  // namespace probe

@@ -242,11 +242,13 @@ TEST(StorageMetricsTest, PageStoreCountsReadsAndOpenedPages) {
   MetricsRegistry registry;
   PageStore store(64);
   store.set_metrics(&registry);
-  // 3 appends of 30 bytes: two pages opened (30+30 fits, the third spills).
+  // 3 appends of 30 bytes open two pages (30+30 fits, the third spills);
+  // sealing puts the fourth on a third.
   store.Append(0, 30);
   store.Append(1, 30);
   store.Append(2, 30);
-  store.AppendToFreshPage(3, 30);
+  store.SealCurrentPage();
+  store.Append(3, 30);
   EXPECT_EQ(registry.FindCounter("mbi.pagestore.pages_written")->value(), 3u);
   IoStats stats;
   store.Read(0, &stats);
@@ -259,7 +261,8 @@ TEST(StorageMetricsTest, BufferPoolCountsHitsAndMisses) {
   MetricsRegistry registry;
   PageStore store(64);
   store.Append(0, 40);
-  store.AppendToFreshPage(1, 40);
+  store.SealCurrentPage();
+  store.Append(1, 40);
   BufferPool pool(&store, 2);
   pool.set_metrics(&registry);
   IoStats stats;

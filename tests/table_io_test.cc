@@ -98,25 +98,6 @@ TEST(TableIoTest, LoadedTableAnswersQueriesIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(TableIoTest, RoundTripSurvivesDynamicInserts) {
-  Fixture fixture = MakeFixture(419, 400);
-  for (int i = 0; i < 200; ++i) {
-    Transaction fresh = fixture.generator.NextTransaction();
-    fixture.table.InsertTransaction(fixture.db.Add(fresh), fresh);
-  }
-  std::string path = TempPath("table_inserts.mbst");
-  ASSERT_TRUE(SaveSignatureTable(fixture.table, path).ok());
-  auto loaded = LoadSignatureTable(path, fixture.db);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_indexed_transactions(), 600u);
-
-  // And the loaded table accepts further inserts.
-  Transaction fresh = fixture.generator.NextTransaction();
-  loaded->InsertTransaction(fixture.db.Add(fresh), fresh);
-  EXPECT_EQ(loaded->num_indexed_transactions(), 601u);
-  std::remove(path.c_str());
-}
-
 TEST(TableIoTest, RejectsDatabaseMismatch) {
   Fixture fixture = MakeFixture(421);
   std::string path = TempPath("table_mismatch.mbst");

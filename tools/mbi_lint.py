@@ -18,12 +18,6 @@ clang-tidy checks style and bug patterns per-TU; mbi-lint checks the
                                std::filesystem; all other I/O goes through
                                the Env seam (fault injection and the
                                durability tests depend on this).
-  status-discipline            [advisory] the Status/StatusOr classes keep
-                               their class-level [[nodiscard]], and no call
-                               site drops a Status-returning call in
-                               statement position. Superseded by the AST
-                               status-discard check in tools/analyze/;
-                               kept as a fast non-failing pre-check.
   no-naked-new                 no raw new/delete/malloc outside the
                                allocation-guard internals; ownership is
                                make_unique/containers.
@@ -31,13 +25,6 @@ clang-tidy checks style and bug patterns per-TU; mbi-lint checks the
                                containers (vector/string/map/function/...);
                                scratch lives in caller-owned reusable
                                buffers (QueryContext et al.).
-  no-alloc-in-hot              [advisory] MBI_HOT code contains no per-call
-                               allocation constructs (new, make_unique/
-                               make_shared, malloc, std::to_string,
-                               stringstreams). Superseded by the
-                               interprocedural hot-path check in
-                               tools/analyze/; kept as a fast non-failing
-                               pre-check.
   no-raw-intrinsics            raw SIMD intrinsics (immintrin.h /
                                arm_neon.h, _mm*/__m*/v*q_* identifiers)
                                live only under src/kernel/, behind the
@@ -50,6 +37,9 @@ clang-tidy checks style and bug patterns per-TU; mbi-lint checks the
                                through SteadyNowUs() / DeadlineClock so
                                query deadlines, admission patience, and
                                latency metrics stay mockable in tests.
+
+Dropped Status results and per-call allocation in MBI_HOT code are checked
+by the AST-level status-discard and hot-path checks in tools/analyze/.
 
 Frontend: when the libclang Python bindings are importable the file is
 tokenized through clang.cindex against the compile command recorded in
@@ -407,15 +397,6 @@ def hot_regions(tokens):
 
 RULES = {}
 
-# Rules superseded by the AST-level checks in tools/analyze/mbi_analyze.py
-# (hot-path reachability, status-discard). They still run — as a fast
-# pre-check whose findings print but do not fail the lint — because the
-# lexer answers in milliseconds while the AST suite needs a compile per TU.
-# `--strict-advisory` restores the old failing behaviour; the self-test
-# still proves both rules live via their tests/lint_probes/ fixtures.
-ADVISORY_RULES = {"no-alloc-in-hot", "status-discipline"}
-
-
 def rule(name, scope_prefixes=("src/",)):
     def wrap(fn):
         RULES[name] = (fn, scope_prefixes)
@@ -430,9 +411,7 @@ ALLOWLIST = {
     "no-raw-thread": {"src/util/thread_pool.h", "src/util/thread_pool.cc"},
     "no-raw-io": {"src/storage/env.cc"},
     "no-naked-new": {"src/util/alloc_guard.cc"},
-    "status-discipline": set(),
     "no-unbounded-container-in-hot": set(),
-    "no-alloc-in-hot": set(),
     "no-raw-intrinsics": set(),  # src/kernel/ is excluded by the rule itself.
     "no-raw-clock": {"src/util/deadline_clock.h",
                      "src/util/deadline_clock.cc"},
@@ -524,105 +503,6 @@ def check_no_raw_io(source, emit):
                 and source.rel_path != "src/storage/env.cc"):
             emit(tok.line, "direct rename(); use Env::RenameFile (the "
                            "atomic-commit point fault injection targets)")
-
-
-def _harvest_status_returners():
-    """Names of functions/methods declared to return Status or StatusOr in
-    any src/ header, minus names that are also declared with a different
-    return type (overload ambiguity would cause false drops). Harvested
-    from the repo headers directly so that single-file runs and --self-test
-    see the full declaration universe."""
-    status_names = set()
-    other_names = set()
-    decl = re.compile(r"\b(Status(?:Or\s*<[^;{}()]{1,80}>)?|[A-Za-z_]\w*)"
-                      r"[&*]?\s+(?:[A-Za-z_]\w*::)?([A-Z]\w*)\s*\(")
-    header_paths = []
-    for root, _dirs, names in os.walk(os.path.join(REPO_ROOT, "src")):
-        header_paths.extend(os.path.join(root, n) for n in names
-                            if n.endswith(".h"))
-    for path in header_paths:
-        try:
-            with open(path, "r", encoding="utf-8",
-                      errors="replace") as handle:
-                text = handle.read()
-        except OSError:
-            continue
-        for m in decl.finditer(text):
-            ret, name = m.group(1), m.group(2)
-            if ret in KEYWORDS:
-                continue  # `return Foo(...)` is a call, not a declaration
-            if ret == "Status" or ret.startswith("StatusOr"):
-                status_names.add(name)
-            else:
-                other_names.add(name)
-    return status_names - other_names
-
-
-_STATUS_RETURNERS = None
-
-
-@rule("status-discipline", scope_prefixes=("src/", "tools/"))
-def check_status_discipline(source, emit):
-    """Two halves: (1) util/status.h must keep the class-level [[nodiscard]]
-    on Status and StatusOr — that single attribute is what makes every
-    silently-dropped Status a compile warning (a -Werror break in CI), so
-    removing it would turn off error-discipline repo-wide in one line.
-    (2) Statement-position calls to known Status-returning functions are
-    flagged directly: `env.RenameFile(a, b);` as a bare statement drops the
-    error even in builds without -Werror. Intentional drops must say so:
-    `(void)env.RemoveFile(tmp);` or MBI_CHECK(...ok())."""
-    tokens = source.tokens
-    if source.rel_path == "src/util/status.h":
-        for cls in ("Status", "StatusOr"):
-            ok = False
-            for i, tok in enumerate(tokens):
-                if tok.spelling == cls and i >= 1:
-                    back = [t.spelling for t in tokens[max(0, i - 8):i]]
-                    if "nodiscard" in back and ("class" in back
-                                                or "struct" in back):
-                        ok = True
-                        break
-            if not ok:
-                emit(1, f"class {cls} lost its [[nodiscard]] attribute — "
-                        f"every dropped {cls} becomes silent")
-        return
-    if _STATUS_RETURNERS is None:
-        return
-    for i, tok in enumerate(tokens):
-        if tok.kind != "id" or tok.spelling not in _STATUS_RETURNERS:
-            continue
-        nxt = tokens[i + 1].spelling if i + 1 < len(tokens) else ""
-        if nxt != "(":
-            continue
-        close = find_matching(tokens, i + 1, "(", ")")
-        if close >= len(tokens) or tokens[close].spelling != ";":
-            continue
-        # Walk back over the receiver chain (`recv.`, `ptr->`, `Qual::`,
-        # including call/index suffixes like `TestEnv()->`) to the first
-        # token of the statement expression.
-        j = i
-        while j >= 2 and tokens[j - 1].spelling in (".", "->", "::"):
-            k = j - 2
-            while k >= 0 and tokens[k].spelling in (")", "]"):
-                close_p = tokens[k].spelling
-                open_p = "(" if close_p == ")" else "["
-                depth = 0
-                while k >= 0:
-                    s = tokens[k].spelling
-                    if s == close_p:
-                        depth += 1
-                    elif s == open_p:
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    k -= 1
-                k -= 1  # the callee / array name before the open bracket
-            j = max(k, 0)
-        prev = prev_significant(tokens, j)
-        if prev is not None and prev.spelling in (";", "{", "}"):
-            emit(tok.line, f"result of Status-returning {tok.spelling}() is "
-                           f"dropped; handle it, or write "
-                           f"(void){tok.spelling}(...) with a comment")
 
 
 _ALLOC_CALLS = {"malloc", "calloc", "realloc", "free", "posix_memalign",
@@ -730,41 +610,6 @@ def check_no_unbounded_container_in_hot(source, emit):
             i = j
         # end while
     return
-
-
-_HOT_ALLOC_CALLS = {"make_unique", "make_shared", "to_string"}
-
-
-@rule("no-alloc-in-hot")
-def check_no_alloc_in_hot(source, emit):
-    """MBI_HOT code is the steady-state-zero-allocation contract's static
-    half (util/alloc_guard.h ScopedAllocationBan is the dynamic half; each
-    catches what the other can't). new/make_unique/malloc/to_string
-    allocate on every execution — never acceptable in hot code, not even
-    warm-up-amortized."""
-    tokens = source.tokens
-    for start, end in hot_regions(tokens):
-        for i in range(start, end):
-            tok = tokens[i]
-            if tok.kind == "kw" and tok.spelling == "new":
-                prev = prev_significant(tokens, i)
-                if prev is not None and prev.spelling == "operator":
-                    continue
-                emit(tok.line, "new-expression in MBI_HOT code")
-            elif tok.kind == "kw" and tok.spelling == "delete":
-                prev = prev_significant(tokens, i)
-                if prev is not None and prev.spelling in ("=", "operator"):
-                    continue
-                emit(tok.line, "delete-expression in MBI_HOT code")
-            elif tok.kind == "id" and tok.spelling in _ALLOC_CALLS:
-                nxt = tokens[i + 1].spelling if i + 1 < len(tokens) else ""
-                if nxt == "(":
-                    emit(tok.line, f"{tok.spelling}() in MBI_HOT code")
-            elif tok.kind == "id" and tok.spelling in _HOT_ALLOC_CALLS:
-                nxt = tokens[i + 1].spelling if i + 1 < len(tokens) else ""
-                if nxt in ("(", "<"):
-                    emit(tok.line, f"std::{tok.spelling} allocates on every "
-                                   f"call; not allowed in MBI_HOT code")
 
 
 # Intrinsic headers never appear as tokens (the lexer eats `#include <x>`
@@ -881,9 +726,6 @@ def discover_files(compile_commands_path):
 
 
 def lint_sources(sources, rule_names, scoped=True):
-    global _STATUS_RETURNERS
-    if _STATUS_RETURNERS is None:
-        _STATUS_RETURNERS = _harvest_status_returners()
     findings = []
     for source in sources:
         for name in rule_names:
@@ -975,9 +817,6 @@ def main(argv):
     parser.add_argument("files", nargs="*",
                         help="explicit files (default: src/** and tools/** "
                              "per the compilation database)")
-    parser.add_argument("--strict-advisory", action="store_true",
-                        help="treat advisory findings as failures (the "
-                             "pre-AST behaviour of the retired rules)")
     args = parser.parse_args(argv[1:])
 
     if args.list_rules:
@@ -1008,22 +847,13 @@ def main(argv):
     sources = [load_source(path, compile_args)
                for path, compile_args in sorted(file_map.items())]
     findings = lint_sources(sources, rule_names)
-    blocking = [f for f in findings if f.rule not in ADVISORY_RULES]
-    advisory = [f for f in findings if f.rule in ADVISORY_RULES]
-    for finding in sorted(blocking, key=lambda f: (f.path, f.line)):
+    for finding in sorted(findings, key=lambda f: (f.path, f.line)):
         print(finding)
-    for finding in sorted(advisory, key=lambda f: (f.path, f.line)):
-        print(f"[advisory] {finding}")
     frontend = "libclang" if cindex_module() is not None else "builtin-lexer"
     print(f"mbi-lint: {len(sources)} file(s), {len(rule_names)} rule(s), "
-          f"{len(blocking)} blocking + {len(advisory)} advisory finding(s) "
-          f"[{frontend} frontend]",
+          f"{len(findings)} finding(s) [{frontend} frontend]",
           file=sys.stderr)
-    if blocking:
-        return 1
-    if advisory and args.strict_advisory:
-        return 1
-    return 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":
