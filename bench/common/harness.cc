@@ -148,7 +148,7 @@ double AvgPruningEfficiency(const BranchAndBoundEngine& engine,
                             const SimilarityFamily& family) {
   double total = 0.0;
   for (const Transaction& target : targets) {
-    total += engine.FindNearest(target, family)
+    total += engine.FindKNearest(target, family, /*k=*/1)
                  .stats.PruningEfficiencyPercent();
   }
   return total / static_cast<double>(targets.size());
@@ -169,12 +169,13 @@ std::vector<double> AccuracyAtTerminationLevels(
     const std::vector<double>& access_fractions, EntrySortOrder sort_order) {
   std::vector<int> found(access_fractions.size(), 0);
   for (const Transaction& target : targets) {
-    NearestNeighborResult exact = engine.FindNearest(target, family);
+    NearestNeighborResult exact = engine.FindKNearest(target, family, 1);
     for (size_t level = 0; level < access_fractions.size(); ++level) {
       SearchOptions options;
       options.max_access_fraction = access_fractions[level];
       options.sort_order = sort_order;
-      NearestNeighborResult fast = engine.FindNearest(target, family, options);
+      NearestNeighborResult fast =
+          engine.FindKNearest(target, family, 1, options);
       found[level] += SimilarityEqual(fast.neighbors[0].similarity,
                                       exact.neighbors[0].similarity);
     }

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     mbi::SearchOptions options;
     options.max_access_fraction = termination;
     for (size_t q = 0; q < targets.size(); ++q) {
-      auto result = engine.FindNearest(targets[q], family, options);
+      auto result = engine.FindKNearest(targets[q], family, 1, options);
       found += result.neighbors[0].similarity == truth[q];
       accessed += result.stats.AccessedFraction();
     }

@@ -118,7 +118,7 @@ void BM_NearestNeighborQuery(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.FindNearest(data.queries[i % data.queries.size()], family));
+        engine.FindKNearest(data.queries[i % data.queries.size()], family, 1));
     ++i;
   }
 }

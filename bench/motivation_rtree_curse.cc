@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       rtree_access +=
           rtree.FindKNearestHamming(target, 1).stats.AccessedFraction();
       table_access +=
-          engine.FindNearest(target, family).stats.AccessedFraction();
+          engine.FindKNearest(target, family, 1).stats.AccessedFraction();
     }
     double n = static_cast<double>(targets.size());
     auto tree_stats = rtree.ComputeTreeStats();

@@ -84,8 +84,10 @@ void BM_SingleQuery(benchmark::State& state) {
   QueryContext context;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.FindKNearest(
-        data.queries[i % data.queries.size()], family, k, {}, &context));
+    NearestNeighborResult result;
+    engine.FindKNearest(data.queries[i % data.queries.size()], family, k, {},
+                        &context, &result);
+    benchmark::DoNotOptimize(result);
     ++i;
   }
 }

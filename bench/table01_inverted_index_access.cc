@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       page_fraction += static_cast<double>(result.pages_touched) /
                        static_cast<double>(result.pages_total);
       sig_fraction +=
-          engine.FindNearest(target, family).stats.AccessedFraction();
+          engine.FindKNearest(target, family, 1).stats.AccessedFraction();
     }
     double n = static_cast<double>(targets.size());
     table.AddRow({mbi::TablePrinter::Format(avg_size, 0),

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   int certified = 0;
   for (const auto& result : results) {
     avg_access += result.stats.AccessedFraction();
-    certified += result.guaranteed_exact;
+    certified += result.stats.is_exact;
   }
   std::printf(
       "batch of %zu queries in %.2fs (%.1f ms/query): avg access %.2f%%, "

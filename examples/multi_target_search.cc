@@ -12,6 +12,7 @@
 #include "baseline/sequential_scan.h"
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
+#include "core/query_context.h"
 #include "gen/quest_generator.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
@@ -49,8 +50,9 @@ int main(int argc, char** argv) {
 
   // Exact multi-target search.
   mbi::Stopwatch timer;
-  mbi::NearestNeighborResult exact =
-      engine.FindKNearestMultiTarget(segment, family, 5);
+  mbi::QueryContext context;
+  mbi::NearestNeighborResult exact;
+  engine.FindKNearestMultiTarget(segment, family, 5, {}, &context, &exact);
   double exact_ms = timer.ElapsedMillis();
   std::printf(
       "\nExact top-5 by average similarity (%.1f ms, pruned %.1f%%):\n",
@@ -64,18 +66,18 @@ int main(int argc, char** argv) {
   mbi::SearchOptions options;
   options.max_access_fraction = 0.005;
   timer.Reset();
-  mbi::NearestNeighborResult fast =
-      engine.FindKNearestMultiTarget(segment, family, 5, options);
+  mbi::NearestNeighborResult fast;
+  engine.FindKNearestMultiTarget(segment, family, 5, options, &context, &fast);
   std::printf(
       "\nEarly-terminated at 0.5%% of the data (%.1f ms): best avg "
       "similarity %.4g, %s",
       timer.ElapsedMillis(), fast.neighbors[0].similarity,
-      fast.guaranteed_exact
+      fast.stats.is_exact
           ? "certified optimal by the unexplored-entry bound\n"
           : "not certified; ");
-  if (!fast.guaranteed_exact) {
+  if (!fast.stats.is_exact) {
     std::printf("unexplored entries could reach %.4g\n",
-                fast.unexplored_optimistic_bound);
+                fast.stats.certificate_bound);
   }
 
   // Cross-check against the scan oracle.

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   std::printf("Top-%lld peers (accessed %.2f%% of %zu baskets%s):\n",
               static_cast<long long>(k),
               100.0 * result.stats.AccessedFraction(), db.size(),
-              result.guaranteed_exact ? ", provably exact" : "");
+              result.stats.is_exact ? ", provably exact" : "");
   for (const mbi::Neighbor& peer : result.neighbors) {
     std::printf("  tx %-8u similarity %-8.4g %s\n", peer.id, peer.similarity,
                 db.Get(peer.id).ToString().c_str());

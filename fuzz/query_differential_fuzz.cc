@@ -5,7 +5,7 @@
 /// and a similarity family from the fuzz input; builds a signature table
 /// over the database; then asserts that the engine's *exact* k-NN answer
 /// matches SequentialScanner's — bit-identical similarity sequences with
-/// guaranteed_exact set, and identical neighbour ids everywhere the ids are
+/// stats.is_exact set, and identical neighbour ids everywhere the ids are
 /// actually determined. This is the paper's core claim (branch and bound
 /// with Lemma 2.1 bounds loses nothing against a full scan for any
 /// admissible f(x, y)) checked on machine-generated adversarial inputs
@@ -24,7 +24,7 @@
 /// never be evaluated. Which ids represent the tie group at the k-th
 /// similarity value is therefore unspecified — the scan resolves that group
 /// globally by ascending id, the engine only among candidates it evaluated
-/// (see the contract note on BranchAndBoundEngine::FindKNearest). Above the
+/// (see the contract note on NearestNeighborResult::neighbors). Above the
 /// cutoff group nothing can be pruned, so ids must match exactly; within it
 /// this harness instead recomputes each engine-returned id's similarity from
 /// scratch and asserts it is genuinely tied, distinct, and in ascending-id
@@ -105,8 +105,8 @@ void CheckAgainstScan(const char* label,
                       const mbi::Transaction& target,
                       const mbi::SimilarityFamily& family,
                       const IdResolver& resolver) {
-  if (!result.guaranteed_exact) {
-    std::fprintf(stderr, "%s divergence: exact search not guaranteed_exact\n",
+  if (!result.stats.is_exact) {
+    std::fprintf(stderr, "%s divergence: exact search not stats.is_exact\n",
                  label);
     abort();
   }

@@ -98,7 +98,7 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
   for (size_t base = 0; base < n; base += kScanChunk) {
     // Budget check between chunks, never before the first: a degraded scan
     // always carries at least kScanChunk real candidates (or the whole
-    // database if smaller), mirroring RunKNearest's min-one-entry rule.
+    // database if smaller), mirroring the k-NN search's min-one-entry rule.
     // Rows — not chunks — are charged against max_entries so the scan path
     // enforces the budget in the same unit as branch-and-bound; checking at
     // chunk boundaries bounds the overshoot at kScanChunk - 1 rows.
@@ -220,9 +220,6 @@ void SequentialScanner::FindKNearest(const Transaction& target,
   result->neighbors = std::move(scored);
   FillScanStats(outcome, *similarity, target, evaluated, database_->size(),
                 &result->stats);
-  result->guaranteed_exact = result->stats.is_exact;
-  result->unexplored_optimistic_bound = result->stats.certificate_bound;
-  result->best_unscanned_bound = result->stats.certificate_bound;
   RecordScan(/*is_range=*/false, timer.ElapsedUs());
 }
 
@@ -250,7 +247,6 @@ void SequentialScanner::FindInRange(const Transaction& target,
   SortBestFirst(&result->matches);
   FillScanStats(outcome, *similarity, target, evaluated, database_->size(),
                 &result->stats);
-  result->guaranteed_complete = result->stats.is_exact;
   RecordScan(/*is_range=*/true, timer.ElapsedUs());
 }
 

@@ -21,18 +21,13 @@ constexpr double kNegInfinity = -std::numeric_limits<double>::infinity();
 /// std::*_heap, it puts the *worst* kept candidate at the heap front (the
 /// heap max is the least-better element), which is exactly the pessimistic
 /// bound. Ties on similarity rank smaller ids as better, so the evicted
-/// element among ties is the largest id — deterministic output.
+/// element among ties is the largest id — deterministic output. As a sort
+/// comparator it puts results best first.
 struct BetterThan {
   bool operator()(const Neighbor& a, const Neighbor& b) const {
     if (a.similarity != b.similarity) return a.similarity > b.similarity;
     return a.id < b.id;
   }
-};
-
-/// Bookkeeping used by the frozen reference implementation.
-struct EntryOrder {
-  std::vector<uint32_t> indices;  // Entry indices in visit order.
-  std::vector<double> optimistic;  // Optimistic bound per entry index.
 };
 
 /// Transactions-evaluated budget implied by the early-termination fraction.
@@ -62,69 +57,22 @@ BranchAndBoundEngine::BranchAndBoundEngine(const TransactionDatabase* database,
                 "candidate layout must cover every row the table indexes");
 }
 
-NearestNeighborResult BranchAndBoundEngine::FindNearest(
-    const Transaction& target, const SimilarityFamily& family,
-    const SearchOptions& options) const {
-  return FindKNearest(target, family, /*k=*/1, options);
-}
-
 NearestNeighborResult BranchAndBoundEngine::FindKNearest(
     const Transaction& target, const SimilarityFamily& family, size_t k,
     const SearchOptions& options) const {
   QueryContext context;
   NearestNeighborResult result;
-  RunKNearest(&target, 1, family, k, options, &context, &result);
-  return result;
-}
-
-NearestNeighborResult BranchAndBoundEngine::FindKNearest(
-    const Transaction& target, const SimilarityFamily& family, size_t k,
-    const SearchOptions& options, QueryContext* context) const {
-  NearestNeighborResult result;
-  RunKNearest(&target, 1, family, k, options, context, &result);
-  return result;
-}
-
-MBI_HOT void BranchAndBoundEngine::FindKNearest(
-    const Transaction& target, const SimilarityFamily& family, size_t k,
-    const SearchOptions& options, QueryContext* context,
-    NearestNeighborResult* result) const {
-  RunKNearest(&target, 1, family, k, options, context, result);
-}
-
-NearestNeighborResult BranchAndBoundEngine::FindKNearestMultiTarget(
-    const std::vector<Transaction>& targets, const SimilarityFamily& family,
-    size_t k, const SearchOptions& options) const {
-  QueryContext context;
-  NearestNeighborResult result;
-  RunKNearest(targets.data(), targets.size(), family, k, options, &context,
-              &result);
-  return result;
-}
-
-NearestNeighborResult BranchAndBoundEngine::FindKNearestMultiTarget(
-    const std::vector<Transaction>& targets, const SimilarityFamily& family,
-    size_t k, const SearchOptions& options, QueryContext* context) const {
-  NearestNeighborResult result;
-  RunKNearest(targets.data(), targets.size(), family, k, options, context,
-              &result);
+  FindKNearest(target, family, k, options, &context, &result);
   return result;
 }
 
 MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
-    const std::vector<Transaction>& targets, const SimilarityFamily& family,
+    std::span<const Transaction> targets, const SimilarityFamily& family,
     size_t k, const SearchOptions& options, QueryContext* context,
-    NearestNeighborResult* result) const {
-  RunKNearest(targets.data(), targets.size(), family, k, options, context,
-              result);
-}
-
-MBI_HOT void BranchAndBoundEngine::RunKNearest(
-    const Transaction* targets, size_t num_targets,
-    const SimilarityFamily& family, size_t k, const SearchOptions& options,
-    QueryContext* context, NearestNeighborResult* result_out) const {
+    NearestNeighborResult* result_out) const {
   MBI_CHECK(context != nullptr);
   MBI_CHECK(result_out != nullptr);
+  const size_t num_targets = targets.size();
   MBI_CHECK(num_targets >= 1);
   MBI_CHECK(k >= 1);
   MBI_CHECK_MSG(options.optimality_gap >= 0.0,
@@ -137,9 +85,6 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   result.neighbors.clear();
   result.trace.clear();
   result.stats = QueryStats{};
-  result.guaranteed_exact = false;
-  result.unexplored_optimistic_bound = 0.0;
-  result.best_unscanned_bound = 0.0;
 
   // Bind the similarity function, bound calculator, and packed bitmap to
   // each target, reusing the context's buffers. RebindTarget re-targets a
@@ -232,7 +177,7 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
 
   // Entry ordering (paper §4): a stable counting sort over the query's few
   // distinct key values yields the visit order (key descending, index
-  // ascending) — the order the Reference path's full sort produces — in
+  // ascending) — the order the frozen reference's full sort produces — in
   // O(E + D log D), and the scan walks it with a cursor.
   OrderByKeyDescending(keys.data(), num_entries, &ctx.order_scratch_,
                        &ctx.entry_order_);
@@ -274,7 +219,7 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   // ascending t, and the sum divided (not multiplied by a reciprocal) so
   // each score is bit-identical to an oracle computing sum / n — ties then
   // compare exactly. Proven at the engine level by kernel_test.cc's
-  // forced-ISA sweep against FindKNearestReference.
+  // forced-ISA sweep against the frozen reference (tests/reference_knn.h).
   auto evaluate_candidates_batch = [&](const TransactionId* ids, size_t n) {
     if (ctx.match_scratch_.size() < n) {
       ctx.match_scratch_.resize(n);
@@ -383,26 +328,17 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
       record_trace(order[cursor], EntryTrace::Action::kUnexplored);
     }
   }
-  result.unexplored_optimistic_bound = unexplored_bound;
-  result.best_unscanned_bound = std::max(max_pruned_bound, unexplored_bound);
-  // Exact iff nothing left unscanned could beat the k-th best found. While
-  // the heap holds fewer than k rows nothing can have been pruned, so the
-  // test then passes only when every entry was scanned — which is exactly
-  // right when fewer than k rows are live.
-  result.guaranteed_exact = result.best_unscanned_bound <= pessimistic();
-  // Paper-§4 quality certificate, duplicated into the stats so it survives
-  // paths that only propagate QueryStats (metrics, the quarantine fallback).
+  // Paper-§4.2 certificate: no transaction the search did not evaluate can
+  // beat the best optimistic bound over pruned and unexplored entries, and
+  // the answer is exact iff that bound cannot beat the k-th best found.
+  // While the heap holds fewer than k rows nothing can have been pruned, so
+  // the test then passes only when every entry was scanned — which is
+  // exactly right when fewer than k rows are live.
   result.stats.termination = termination;
-  result.stats.is_exact = result.guaranteed_exact;
-  result.stats.certificate_bound = result.best_unscanned_bound;
+  result.stats.certificate_bound = std::max(max_pruned_bound, unexplored_bound);
+  result.stats.is_exact = result.stats.certificate_bound <= pessimistic();
 
-  std::sort(knn_heap.begin(), knn_heap.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
+  std::sort(knn_heap.begin(), knn_heap.end(), BetterThan());
   result.neighbors.assign(knn_heap.begin(), knn_heap.end());
 }
 
@@ -413,193 +349,6 @@ MBI_HOT void BranchAndBoundEngine::DropDeleted(
     if (!deleted_->IsMarked(id)) (*ids)[kept++] = id;
   }
   ids->erase(ids->begin() + static_cast<ptrdiff_t>(kept), ids->end());
-}
-
-NearestNeighborResult BranchAndBoundEngine::FindKNearestReference(
-    const Transaction& target, const SimilarityFamily& family, size_t k,
-    const SearchOptions& options) const {
-  return FindKNearestMultiTargetReference({target}, family, k, options);
-}
-
-NearestNeighborResult BranchAndBoundEngine::FindKNearestMultiTargetReference(
-    const std::vector<Transaction>& targets, const SimilarityFamily& family,
-    size_t k, const SearchOptions& options) const {
-  MBI_CHECK(!targets.empty());
-  MBI_CHECK(k >= 1);
-
-  // Bind the similarity function and bound calculator to each target.
-  std::vector<std::unique_ptr<SimilarityFunction>> functions;
-  std::vector<BoundCalculator> calculators;
-  functions.reserve(targets.size());
-  calculators.reserve(targets.size());
-  for (const Transaction& target : targets) {
-    functions.push_back(family.ForTarget(target));
-    calculators.emplace_back(table_->partition().CountsPerSignature(target),
-                             table_->activation_threshold());
-  }
-  const double target_count = static_cast<double>(targets.size());
-
-  const auto& entries = table_->entries();
-  EntryOrder order;
-  order.indices.resize(entries.size());
-  order.optimistic.resize(entries.size());
-  for (uint32_t i = 0; i < entries.size(); ++i) {
-    order.indices[i] = i;
-    double sum = 0.0;
-    for (size_t t = 0; t < targets.size(); ++t) {
-      sum += calculators[t].OptimisticSimilarity(entries[i].coordinate,
-                                                 *functions[t]);
-    }
-    order.optimistic[i] = sum / target_count;
-  }
-
-  // Sort the directory (main-memory sort, paper §4). The alternative order
-  // ranks entries by the similarity between supercoordinates instead, while
-  // pruning still uses the optimistic bounds.
-  if (options.sort_order == EntrySortOrder::kOptimisticBound) {
-    std::sort(order.indices.begin(), order.indices.end(),
-              [&](uint32_t a, uint32_t b) {
-                if (order.optimistic[a] != order.optimistic[b]) {
-                  return order.optimistic[a] > order.optimistic[b];
-                }
-                return a < b;
-              });
-  } else {
-    std::vector<double> coordinate_similarity(entries.size());
-    // Use the first target's supercoordinate and function as the ranking key.
-    Supercoordinate target_coordinate = ComputeSupercoordinate(
-        targets[0], table_->partition(), table_->activation_threshold());
-    for (uint32_t i = 0; i < entries.size(); ++i) {
-      int match = 0, hamming = 0;
-      SupercoordinateMatchAndHamming(entries[i].coordinate, target_coordinate,
-                                     &match, &hamming);
-      coordinate_similarity[i] = functions[0]->Evaluate(match, hamming);
-    }
-    std::sort(order.indices.begin(), order.indices.end(),
-              [&](uint32_t a, uint32_t b) {
-                if (coordinate_similarity[a] != coordinate_similarity[b]) {
-                  return coordinate_similarity[a] > coordinate_similarity[b];
-                }
-                return a < b;
-              });
-  }
-
-  NearestNeighborResult result;
-  result.stats.database_size = database_->size();
-  result.stats.entries_total = entries.size();
-  const uint64_t budget =
-      AccessBudget(options.max_access_fraction, database_->size());
-
-  // Min-heap of the k best candidates; front is the pessimistic bound once
-  // the heap is full.
-  std::vector<Neighbor> heap;
-  heap.reserve(k + 1);
-  auto pessimistic = [&]() {
-    return heap.size() == k ? heap.front().similarity : kNegInfinity;
-  };
-  auto evaluate_candidate = [&](TransactionId id) {
-    const Transaction& candidate = database_->Get(id);
-    double sum = 0.0;
-    for (size_t t = 0; t < targets.size(); ++t) {
-      size_t match = 0, hamming = 0;
-      MatchAndHamming(targets[t], candidate, &match, &hamming);
-      sum += functions[t]->Evaluate(static_cast<int>(match),
-                                    static_cast<int>(hamming));
-    }
-    // Divide (not multiply by a reciprocal) so the value is bit-identical to
-    // an oracle computing sum / n — ties then compare exactly.
-    double similarity = sum / target_count;
-    ++result.stats.transactions_evaluated;
-    Neighbor incoming{id, similarity};
-    if (heap.size() < k) {
-      heap.push_back(incoming);
-      std::push_heap(heap.begin(), heap.end(), BetterThan());
-    } else if (BetterThan()(incoming, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), BetterThan());
-      heap.back() = incoming;
-      std::push_heap(heap.begin(), heap.end(), BetterThan());
-    }
-  };
-
-  MBI_CHECK_MSG(options.optimality_gap >= 0.0,
-                "optimality_gap must be non-negative");
-  auto record_trace = [&](uint32_t entry_index, EntryTrace::Action action) {
-    if (!options.collect_trace) return;
-    EntryTrace entry_trace;
-    entry_trace.coordinate = entries[entry_index].coordinate;
-    entry_trace.optimistic_bound = order.optimistic[entry_index];
-    entry_trace.transaction_count = entries[entry_index].transaction_count;
-    entry_trace.action = action;
-    entry_trace.pessimistic_bound = pessimistic();
-    result.trace.push_back(entry_trace);
-  };
-
-  size_t next = 0;
-  bool terminated_early = false;
-  double max_pruned_bound = kNegInfinity;
-  for (; next < order.indices.size(); ++next) {
-    uint32_t entry_index = order.indices[next];
-    double optimistic = order.optimistic[entry_index];
-    if (heap.size() == k &&
-        optimistic <= pessimistic() + options.optimality_gap) {
-      max_pruned_bound = std::max(max_pruned_bound, optimistic);
-      record_trace(entry_index, EntryTrace::Action::kPruned);
-      if (options.sort_order == EntrySortOrder::kOptimisticBound) {
-        // Entries are sorted by decreasing optimistic bound, so everything
-        // that follows is prunable too.
-        for (size_t i = next + 1; i < order.indices.size(); ++i) {
-          record_trace(order.indices[i], EntryTrace::Action::kPruned);
-        }
-        result.stats.entries_pruned += order.indices.size() - next;
-        next = order.indices.size();
-        break;
-      }
-      ++result.stats.entries_pruned;
-      continue;
-    }
-    record_trace(entry_index, EntryTrace::Action::kScanned);
-    std::vector<TransactionId> ids =
-        table_->FetchEntryTransactions(entry_index, &result.stats.io);
-    ++result.stats.entries_scanned;
-    for (TransactionId id : ids) evaluate_candidate(id);
-    if (result.stats.transactions_evaluated >= budget &&
-        next + 1 < order.indices.size()) {
-      terminated_early = true;
-      ++next;
-      break;
-    }
-  }
-
-  // Early-termination certificate (paper §4.2): the best similarity any
-  // unexplored entry could still hold.
-  double unexplored_bound = kNegInfinity;
-  if (terminated_early) {
-    for (size_t i = next; i < order.indices.size(); ++i) {
-      unexplored_bound =
-          std::max(unexplored_bound, order.optimistic[order.indices[i]]);
-      ++result.stats.entries_unexplored;
-      record_trace(order.indices[i], EntryTrace::Action::kUnexplored);
-    }
-  }
-  result.unexplored_optimistic_bound = unexplored_bound;
-  result.best_unscanned_bound = std::max(max_pruned_bound, unexplored_bound);
-  result.guaranteed_exact =
-      heap.size() == std::min<size_t>(k, database_->size()) &&
-      result.best_unscanned_bound <= pessimistic();
-  // Certificate mirror (the frozen reference ignores QueryBudget by design,
-  // so kAccessFraction is the only early termination it can report).
-  result.stats.termination = terminated_early
-                                 ? QueryTermination::kAccessFraction
-                                 : QueryTermination::kCompleted;
-  result.stats.is_exact = result.guaranteed_exact;
-  result.stats.certificate_bound = result.best_unscanned_bound;
-
-  std::sort(heap.begin(), heap.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return a.id < b.id;
-  });
-  result.neighbors = std::move(heap);
-  return result;
 }
 
 RangeQueryResult BranchAndBoundEngine::FindInRange(
@@ -653,9 +402,9 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   for (uint32_t i = 0; i < entries.size(); ++i) {
     if (!terminated_early && budget_limited &&
         result.stats.entries_scanned > 0) {
-      // Same min-one-entry guarantee as RunKNearest: the budget can only cut
-      // the enumeration after the first scanned entry, so a degraded range
-      // answer is never structurally empty.
+      // Same min-one-entry guarantee as the k-NN search: the budget can only
+      // cut the enumeration after the first scanned entry, so a degraded
+      // range answer is never structurally empty.
       if (qbudget.cancelled()) {
         terminated_early = true;
         termination = QueryTermination::kCancelled;
@@ -719,17 +468,10 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
     }
   }
 
-  result.guaranteed_complete = !terminated_early;
   result.stats.termination = termination;
-  result.stats.is_exact = result.guaranteed_complete;
+  result.stats.is_exact = !terminated_early;
   result.stats.certificate_bound = unexplored_bound;
-  std::sort(result.matches.begin(), result.matches.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
+  std::sort(result.matches.begin(), result.matches.end(), BetterThan());
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/query_budget.h"
@@ -82,7 +83,6 @@ struct SearchOptions {
   /// pinned on the QueryContext. Default-constructed = unlimited. On expiry
   /// the query returns a certified degraded answer (never crashes, never
   /// returns an inconsistent certificate); see QueryStats::termination.
-  /// The frozen *Reference paths ignore it by design.
   QueryBudget budget;
 };
 
@@ -102,29 +102,12 @@ struct NearestNeighborResult {
   /// paper's bounds do not support.
   std::vector<Neighbor> neighbors;
 
-  /// True when the result is provably exact (in similarity values): no
-  /// entry that was pruned or left unexplored could hold a transaction
-  /// more similar than the k-th best found. Always true for a completed
-  /// search with optimality_gap = 0; for early-terminated or gap-pruned
-  /// searches it reports whether the a-posteriori certificate held
-  /// (paper §4.2).
-  bool guaranteed_exact = false;
-
-  /// Largest optimistic bound among entries left unexplored at termination;
-  /// -infinity when none were left. Together with the k-th best similarity
-  /// this is the paper's a-posteriori quality guarantee.
-  double unexplored_optimistic_bound = 0.0;
-
-  /// Upper bound on the similarity of any transaction the search did *not*
-  /// evaluate (the max optimistic bound over pruned and unexplored entries);
-  /// -infinity when every entry was scanned. The true k-th best similarity
-  /// is at most max(k-th best found, this bound).
-  double best_unscanned_bound = 0.0;
-
   /// Visit-order per-entry decisions; empty unless
   /// SearchOptions::collect_trace was set.
   std::vector<EntryTrace> trace;
 
+  /// Work counters and the paper-§4.2 certificate (`termination`,
+  /// `is_exact`, `certificate_bound`).
   QueryStats stats;
 };
 
@@ -133,9 +116,8 @@ struct RangeQueryResult {
   /// All qualifying transactions, best first.
   std::vector<Neighbor> matches;
 
-  /// False when early termination may have cut the enumeration short.
-  bool guaranteed_complete = false;
-
+  /// Work counters; `stats.is_exact` is false when early termination may
+  /// have cut the enumeration short.
   QueryStats stats;
 };
 
@@ -155,8 +137,8 @@ struct RangeQueryResult {
 /// and candidate evaluation runs the SIMD match kernel over a blocked
 /// candidate layout instead of merge-scanning item vectors. All of
 /// it is bit-identical to the straightforward sort-everything merge-scan
-/// implementation, which is retained as FindKNearest*Reference and pinned by
-/// oracle_equivalence_test.cc.
+/// implementation, which tests/reference_knn.h keeps frozen as the oracle
+/// oracle_equivalence_test.cc pins this engine against.
 class BranchAndBoundEngine {
  public:
   /// `layout` is the blocked candidate bitmap the SIMD match kernel scans;
@@ -176,68 +158,34 @@ class BranchAndBoundEngine {
                        const CandidateLayout* layout = nullptr,
                        const DeleteMask* deleted = nullptr);
 
-  /// Finds the single nearest neighbour of `target` under `family`.
-  NearestNeighborResult FindNearest(const Transaction& target,
-                                    const SimilarityFamily& family,
-                                    const SearchOptions& options = {}) const;
-
-  /// Finds the k most similar transactions (paper §4.3: the pessimistic
-  /// bound is the k-th best similarity found so far).
-  NearestNeighborResult FindKNearest(const Transaction& target,
-                                     const SimilarityFamily& family, size_t k,
-                                     const SearchOptions& options = {}) const;
-
-  /// Context-reusing variant: identical results, but all per-query scratch
-  /// comes from `context`, so a caller issuing many queries through one
-  /// context reaches a zero-allocation steady state. `context` must not be
-  /// shared between concurrent queries.
-  NearestNeighborResult FindKNearest(const Transaction& target,
-                                     const SimilarityFamily& family, size_t k,
-                                     const SearchOptions& options,
-                                     QueryContext* context) const;
-
-  /// Fully reusable variant: scratch comes from `context` AND the output is
-  /// written into `*result` (cleared first, capacity kept), so a warm
-  /// (context, result) pair makes repeat queries allocate nothing at all —
-  /// the steady state query_context_test pins under ScopedAllocationBan.
-  MBI_HOT void FindKNearest(const Transaction& target,
-                            const SimilarityFamily& family, size_t k,
-                            const SearchOptions& options,
-                            QueryContext* context,
-                            NearestNeighborResult* result) const;
-
-  /// Multi-target variant (paper §4.3): maximizes the *average* similarity
-  /// to `targets`; an entry's optimistic bound is the average of its
-  /// per-target optimistic bounds.
-  NearestNeighborResult FindKNearestMultiTarget(
-      const std::vector<Transaction>& targets, const SimilarityFamily& family,
-      size_t k, const SearchOptions& options = {}) const;
-
-  /// Context-reusing multi-target variant.
-  NearestNeighborResult FindKNearestMultiTarget(
-      const std::vector<Transaction>& targets, const SimilarityFamily& family,
-      size_t k, const SearchOptions& options, QueryContext* context) const;
-
-  /// Fully reusable multi-target variant (see the result-out FindKNearest).
-  MBI_HOT void FindKNearestMultiTarget(const std::vector<Transaction>& targets,
+  /// Finds the k transactions with the highest *average* similarity to
+  /// `targets` under `family` (paper §4.3; one target is the plain k-NN
+  /// search of §4). An entry's optimistic bound is the average of its
+  /// per-target bounds, and the pessimistic bound is the k-th best found so
+  /// far. Per-query scratch comes from `context` and the answer is written
+  /// into `*result` (cleared first, capacity kept), so a warm (context,
+  /// result) pair makes repeat queries allocate nothing at all — the steady
+  /// state query_context_test pins under ScopedAllocationBan. `context` must
+  /// not be shared between concurrent queries.
+  MBI_HOT void FindKNearestMultiTarget(std::span<const Transaction> targets,
                                        const SimilarityFamily& family,
                                        size_t k, const SearchOptions& options,
                                        QueryContext* context,
                                        NearestNeighborResult* result) const;
 
-  /// Frozen pre-overhaul implementation: full std::sort of all occupied
-  /// entries, fresh allocations per query, merge-scan MatchAndHamming.
-  /// Kept as the semantic reference — oracle_equivalence_test.cc asserts the
-  /// overhauled path returns bit-identical results. Do not optimize.
-  NearestNeighborResult FindKNearestReference(
-      const Transaction& target, const SimilarityFamily& family, size_t k,
-      const SearchOptions& options = {}) const;
+  /// Single-target k-NN: FindKNearestMultiTarget with n = 1.
+  MBI_HOT void FindKNearest(const Transaction& target,
+                            const SimilarityFamily& family, size_t k,
+                            const SearchOptions& options,
+                            QueryContext* context,
+                            NearestNeighborResult* result) const {
+    FindKNearestMultiTarget({&target, 1}, family, k, options, context, result);
+  }
 
-  /// Frozen pre-overhaul multi-target implementation (see
-  /// FindKNearestReference).
-  NearestNeighborResult FindKNearestMultiTargetReference(
-      const std::vector<Transaction>& targets, const SimilarityFamily& family,
-      size_t k, const SearchOptions& options = {}) const;
+  /// Convenience form with a fresh context and result per call.
+  NearestNeighborResult FindKNearest(const Transaction& target,
+                                     const SimilarityFamily& family, size_t k,
+                                     const SearchOptions& options = {}) const;
 
   /// Range query (paper §4.3): every transaction with f >= `threshold`.
   /// Entries whose optimistic bound is below the threshold are pruned.
@@ -270,16 +218,6 @@ class BranchAndBoundEngine {
                            const SimilarityFamily& family) const;
 
  private:
-  /// Shared implementation of the k-NN variants. `targets` is a borrowed
-  /// span (pointer + count) so the single-target entry point doesn't have to
-  /// materialize a one-element vector per call. `*result` is cleared
-  /// (keeping capacity) and filled; with a warm context and result this is
-  /// allocation-free in steady state (the MBI_HOT contract, util/hot_path.h).
-  MBI_HOT void RunKNearest(const Transaction* targets, size_t num_targets,
-                           const SimilarityFamily& family, size_t k,
-                           const SearchOptions& options, QueryContext* context,
-                           NearestNeighborResult* result) const;
-
   /// Removes rows marked in `deleted_` from one entry's candidate list, in
   /// place (order kept, no allocation).
   MBI_HOT void DropDeleted(std::vector<TransactionId>* ids) const;

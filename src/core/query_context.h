@@ -22,10 +22,9 @@ namespace mbi {
 /// counting-sort scratch, the candidate-id scratch buffer, the k-nearest
 /// heap, the packed target bitmaps — lives here. A caller that answers many
 /// queries (batch mode, benchmarks, the `mbi query` CLI loop) constructs one
-/// context and passes it to every call; after the first few queries have
-/// grown the buffers, the steady state allocates nothing beyond the returned
-/// result vectors — and the result-out FindKNearest overload eliminates
-/// those too: with a warm (context, result) pair the whole query is
+/// context and passes it to every call, together with a result object the
+/// engine refills in place. After the first few queries have grown the
+/// buffers, a warm (context, result) pair makes the whole query
 /// allocation-free, which query_context_test enforces at runtime with
 /// ScopedAllocationBan and mbi-lint enforces statically via the MBI_HOT
 /// rules (util/hot_path.h).

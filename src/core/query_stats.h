@@ -64,16 +64,17 @@ struct QueryStats {
   /// quarantine fallback — see SignatureTableEngine::SequentialKNearest).
   QueryTermination termination = QueryTermination::kCompleted;
 
-  /// True iff the returned neighbors are provably the exact top-k (either
-  /// everything was scanned, or Lemma 2.1 pruned the rest below the k-th
-  /// best). Mirrors NearestNeighborResult::guaranteed_exact so it survives
-  /// stats-only reporting paths.
+  /// k-NN: true iff the returned neighbors are provably the exact top-k in
+  /// similarity values (everything was scanned, or Lemma 2.1 bounds every
+  /// pruned and unexplored entry at or below the k-th best). Range: true iff
+  /// the enumeration ran to completion.
   bool is_exact = true;
 
-  /// Largest optimistic similarity bound over the entries left unexplored:
-  /// no unreturned transaction can beat this. -inf when nothing was left
-  /// unexplored. For a degraded answer this is the a-posteriori quality
-  /// guarantee: certificate_bound >= true k-th similarity >= returned k-th.
+  /// Largest optimistic similarity bound over the entries the search did not
+  /// scan (pruned ∪ unexplored for k-NN; unexplored for range queries): no
+  /// unevaluated transaction can beat it. -inf when every entry was scanned.
+  /// This is the paper's a-posteriori quality guarantee: the true k-th best
+  /// similarity is at most max(returned k-th, certificate_bound).
   double certificate_bound = -std::numeric_limits<double>::infinity();
 
   /// The paper's pruning-efficiency metric: the percentage of the database

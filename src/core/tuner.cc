@@ -103,8 +103,8 @@ TuningResult TuneIndex(const TransactionDatabase& database,
       trial.directory_bytes = table.MemoryFootprintBytes();
       double total = 0.0;
       for (const Transaction& target : probe_queries) {
-        total +=
-            engine.FindNearest(target, family).stats.PruningEfficiencyPercent();
+        total += engine.FindKNearest(target, family, /*k=*/1)
+                     .stats.PruningEfficiencyPercent();
       }
       trial.pruning_efficiency =
           total / static_cast<double>(probe_queries.size());

@@ -36,9 +36,6 @@ void KnnMerger::Finish(NearestNeighborResult* result) {
   result->neighbors.assign(candidates_.begin(), candidates_.end());
   result->trace.clear();
   result->stats = stats_;
-  result->guaranteed_exact = stats_.is_exact;
-  result->unexplored_optimistic_bound = stats_.certificate_bound;
-  result->best_unscanned_bound = stats_.certificate_bound;
 }
 
 }  // namespace mbi

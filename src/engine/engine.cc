@@ -172,7 +172,9 @@ NearestNeighborResult SignatureTableEngine::FindKNearestImpl(
             : options.budget);
   }
   if (context != nullptr) {
-    return engine_->FindKNearest(target, family, k, options, context);
+    NearestNeighborResult result;
+    engine_->FindKNearest(target, family, k, options, context, &result);
+    return result;
   }
   return engine_->FindKNearest(target, family, k, options);
 }

@@ -18,7 +18,7 @@
 //
 // Usage (see tests/alloc_guard_test.cc, tests/query_context_test.cc):
 //
-//   engine.FindKNearest(q, family, k, options, &ctx);   // warm-up
+//   engine.FindKNearest(q, family, k, options, &ctx, &result);  // warm-up
 //   uint64_t before = AllocGuardViolations();
 //   {
 //     ScopedAllocationBan ban("steady-state FindKNearest");

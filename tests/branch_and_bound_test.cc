@@ -7,6 +7,7 @@
 
 #include "baseline/sequential_scan.h"
 #include "core/index_builder.h"
+#include "core/query_context.h"
 #include "gen/quest_generator.h"
 
 namespace mbi {
@@ -78,7 +79,7 @@ TEST_P(ExactnessTest, MatchesSequentialScan) {
     NearestNeighborResult result =
         engine.FindKNearest(target, *family, k, options);
     auto oracle = scanner.FindKNearest(target, *family, k);
-    EXPECT_TRUE(result.guaranteed_exact);
+    EXPECT_TRUE(result.stats.is_exact);
     ASSERT_EQ(result.neighbors.size(), std::min<size_t>(k, fixture.db.size()));
     EXPECT_TRUE(SameSimilarities(result.neighbors, oracle))
         << family_name << " k=" << k << " r=" << activation_threshold;
@@ -114,7 +115,7 @@ TEST(BranchAndBoundTest, StatsAccountForEveryEntry) {
   BranchAndBoundEngine engine(&fixture.db, &fixture.table);
   MatchRatioFamily family;
   for (const Transaction& target : fixture.queries) {
-    auto result = engine.FindNearest(target, family);
+    auto result = engine.FindKNearest(target, family, 1);
     const QueryStats& stats = result.stats;
     EXPECT_EQ(stats.entries_total, fixture.table.entries().size());
     EXPECT_EQ(stats.entries_scanned + stats.entries_pruned +
@@ -135,7 +136,7 @@ TEST(BranchAndBoundTest, PrunesSubstantiallyOnCorrelatedData) {
   InverseHammingFamily family;
   double total_pruning = 0.0;
   for (const Transaction& target : fixture.queries) {
-    auto result = engine.FindNearest(target, family);
+    auto result = engine.FindKNearest(target, family, 1);
     total_pruning += result.stats.PruningEfficiencyPercent();
   }
   EXPECT_GT(total_pruning / static_cast<double>(fixture.queries.size()), 50.0);
@@ -168,7 +169,7 @@ TEST(BranchAndBoundTest, KLargerThanDatabaseReturnsEverything) {
   MatchRatioFamily family;
   auto result = engine.FindKNearest(generator.NextTransaction(), family, 100);
   EXPECT_EQ(result.neighbors.size(), 20u);
-  EXPECT_TRUE(result.guaranteed_exact);
+  EXPECT_TRUE(result.stats.is_exact);
 }
 
 // --- Early termination (paper §4.2) ---
@@ -188,7 +189,7 @@ TEST(BranchAndBoundTest, EarlyTerminationRespectsBudget) {
     max_bucket = std::max<uint64_t>(max_bucket, entry.transaction_count);
   }
   for (const Transaction& target : fixture.queries) {
-    auto result = engine.FindNearest(target, family, options);
+    auto result = engine.FindKNearest(target, family, 1, options);
     EXPECT_LE(result.stats.transactions_evaluated, budget + max_bucket);
     EXPECT_FALSE(result.neighbors.empty());
   }
@@ -202,15 +203,15 @@ TEST(BranchAndBoundTest, EarlyTerminationCertificateIsSound) {
   SearchOptions options;
   options.max_access_fraction = 0.01;
   for (const Transaction& target : fixture.queries) {
-    auto result = engine.FindNearest(target, family, options);
+    auto result = engine.FindKNearest(target, family, 1, options);
     auto oracle = scanner.FindKNearest(target, family, 1);
-    if (result.guaranteed_exact) {
+    if (result.stats.is_exact) {
       // The certificate must never lie.
       EXPECT_TRUE(SameSimilarities(result.neighbors, oracle));
     } else {
-      // The true optimum can never exceed max(found, unexplored bound).
+      // The true optimum can never exceed max(found, certificate bound).
       EXPECT_GE(std::max(result.neighbors[0].similarity,
-                         result.unexplored_optimistic_bound),
+                         result.stats.certificate_bound),
                 oracle[0].similarity);
     }
   }
@@ -222,8 +223,8 @@ TEST(BranchAndBoundTest, FullAccessFractionAlwaysExact) {
   CosineFamily family;
   SearchOptions options;
   options.max_access_fraction = 1.0;
-  auto result = engine.FindNearest(fixture.queries[0], family, options);
-  EXPECT_TRUE(result.guaranteed_exact);
+  auto result = engine.FindKNearest(fixture.queries[0], family, 1, options);
+  EXPECT_TRUE(result.stats.is_exact);
   EXPECT_EQ(result.stats.entries_unexplored, 0u);
 }
 
@@ -236,9 +237,11 @@ TEST(BranchAndBoundTest, MultiTargetMatchesScanOracle) {
   MatchRatioFamily family;
   std::vector<Transaction> targets = {fixture.queries[0], fixture.queries[1],
                                       fixture.queries[2]};
-  auto result = engine.FindKNearestMultiTarget(targets, family, 4);
+  QueryContext context;
+  NearestNeighborResult result;
+  engine.FindKNearestMultiTarget(targets, family, 4, {}, &context, &result);
   auto oracle = scanner.FindKNearestMultiTarget(targets, family, 4);
-  EXPECT_TRUE(result.guaranteed_exact);
+  EXPECT_TRUE(result.stats.is_exact);
   EXPECT_TRUE(SameSimilarities(result.neighbors, oracle));
 }
 
@@ -248,7 +251,9 @@ TEST(BranchAndBoundTest, MultiTargetCosineBindsEachTargetSize) {
   SequentialScanner scanner(&fixture.db);
   CosineFamily family;
   std::vector<Transaction> targets = {fixture.queries[3], fixture.queries[4]};
-  auto result = engine.FindKNearestMultiTarget(targets, family, 3);
+  QueryContext context;
+  NearestNeighborResult result;
+  engine.FindKNearestMultiTarget(targets, family, 3, {}, &context, &result);
   auto oracle = scanner.FindKNearestMultiTarget(targets, family, 3);
   EXPECT_TRUE(SameSimilarities(result.neighbors, oracle));
 }
@@ -264,7 +269,7 @@ TEST(BranchAndBoundTest, RangeQueryMatchesScanOracle) {
     for (size_t q = 0; q < 5; ++q) {
       auto result = engine.FindInRange(fixture.queries[q], family, threshold);
       auto oracle = scanner.FindInRange(fixture.queries[q], family, threshold);
-      EXPECT_TRUE(result.guaranteed_complete);
+      EXPECT_TRUE(result.stats.is_exact);
       ASSERT_EQ(result.matches.size(), oracle.size())
           << "threshold " << threshold << " query " << q;
       for (size_t i = 0; i < oracle.size(); ++i) {
@@ -303,7 +308,7 @@ TEST(BranchAndBoundTest, MultiRangeQueryIsConjunctive) {
   for (size_t q = 0; q < 5; ++q) {
     const Transaction& target = fixture.queries[q];
     auto result = engine.FindInRangeMulti(target, families, thresholds);
-    EXPECT_TRUE(result.guaranteed_complete);
+    EXPECT_TRUE(result.stats.is_exact);
 
     // Brute-force the expected id set.
     std::vector<TransactionId> expected;
@@ -359,7 +364,7 @@ TEST(OptimalityGapTest, GapZeroIsExactAndGapBoundsHold) {
     for (double gap : {0.0, 0.1, 0.5}) {
       SearchOptions options;
       options.optimality_gap = gap;
-      auto result = engine.FindNearest(target, family, options);
+      auto result = engine.FindKNearest(target, family, 1, options);
       double found = result.neighbors[0].similarity;
       double truth = oracle[0].similarity;
       if (std::isinf(truth)) {
@@ -370,10 +375,10 @@ TEST(OptimalityGapTest, GapZeroIsExactAndGapBoundsHold) {
       EXPECT_GE(found + gap, truth) << "gap " << gap << " violated";
       if (gap == 0.0) {
         EXPECT_EQ(found, truth);
-        EXPECT_TRUE(result.guaranteed_exact);
+        EXPECT_TRUE(result.stats.is_exact);
       }
       // The uniform quality bound must always hold.
-      EXPECT_GE(std::max(found, result.best_unscanned_bound), truth);
+      EXPECT_GE(std::max(found, result.stats.certificate_bound), truth);
     }
   }
 }
@@ -391,10 +396,10 @@ TEST(OptimalityGapTest, LargerGapPrunesMore) {
   for (int q = 0; q < 10; ++q) {
     Transaction target = generator.NextTransaction();
     evaluated_exact +=
-        engine.FindNearest(target, family).stats.transactions_evaluated;
+        engine.FindKNearest(target, family, 1).stats.transactions_evaluated;
     SearchOptions options;
     options.optimality_gap = 0.5;
-    auto result = engine.FindNearest(target, family, options);
+    auto result = engine.FindKNearest(target, family, 1, options);
     evaluated_gap += result.stats.transactions_evaluated;
   }
   EXPECT_LT(evaluated_gap, evaluated_exact);
@@ -410,7 +415,7 @@ TEST(OptimalityGapTest, RejectsNegativeGap) {
   MatchRatioFamily family;
   SearchOptions options;
   options.optimality_gap = -0.1;
-  EXPECT_DEATH(engine.FindNearest(generator.NextTransaction(), family,
+  EXPECT_DEATH(engine.FindKNearest(generator.NextTransaction(), family, 1,
                                   options),
                "non-negative");
 }

@@ -401,7 +401,7 @@ TEST(DurabilityTest, CorruptIndexIsQuarantinedAndServedSequentially) {
     NearestNeighborResult result = engine.FindKNearest(target, family, 5);
     ++queries;
     auto oracle = scanner.FindKNearest(target, family, 5);
-    EXPECT_TRUE(result.guaranteed_exact);
+    EXPECT_TRUE(result.stats.is_exact);
     EXPECT_EQ(result.stats.sequential_fallbacks, 1u);
     ASSERT_EQ(result.neighbors.size(), oracle.size());
     for (size_t i = 0; i < oracle.size(); ++i) {
@@ -412,7 +412,7 @@ TEST(DurabilityTest, CorruptIndexIsQuarantinedAndServedSequentially) {
     RangeQueryResult range = engine.FindInRange(target, family, 0.3);
     ++queries;
     auto range_oracle = scanner.FindInRange(target, family, 0.3);
-    EXPECT_TRUE(range.guaranteed_complete);
+    EXPECT_TRUE(range.stats.is_exact);
     EXPECT_EQ(range.stats.sequential_fallbacks, 1u);
     ASSERT_EQ(range.matches.size(), range_oracle.size());
     for (size_t i = 0; i < range_oracle.size(); ++i) {

@@ -89,7 +89,7 @@ TEST(DynConcurrencyTest, InsertsQueriesAndMergesInterleave) {
           EXPECT_GE(result.neighbors[i - 1].similarity,
                     result.neighbors[i].similarity);
         }
-        EXPECT_TRUE(result.guaranteed_exact);
+        EXPECT_TRUE(result.stats.is_exact);
       }
     });
   }
@@ -173,7 +173,7 @@ TEST(DynConcurrencyTest, DeletesAndCompactionRaceQueries) {
     while (!done.load()) {
       index.FindKNearest(queries.NextTransaction(), family, 4,
                          SearchOptions{}, &context, &result);
-      EXPECT_TRUE(result.guaranteed_exact);
+      EXPECT_TRUE(result.stats.is_exact);
     }
   });
   deleter.join();
@@ -257,7 +257,7 @@ TEST(DynConcurrencyTest, DeletesRaceMergeWindowsAndQueries) {
         const size_t finished = deletes_done.load();
         index.FindKNearest(queries.NextTransaction(), family, 6,
                            SearchOptions{}, &context, &result);
-        EXPECT_TRUE(result.guaranteed_exact);
+        EXPECT_TRUE(result.stats.is_exact);
         for (const Neighbor& neighbor : result.neighbors) {
           EXPECT_FALSE(neighbor.id % 3 == 0 && neighbor.id / 3 < finished)
               << "gid " << neighbor.id << " deleted before the query";

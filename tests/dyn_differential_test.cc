@@ -105,7 +105,7 @@ void ExpectMatchesOracle(const Workload& workload, const Oracle& oracle,
                          const SimilarityFamily& family, size_t k) {
   NearestNeighborResult result =
       workload.index->FindKNearest(target, family, k);
-  ASSERT_TRUE(result.guaranteed_exact) << "exact fan-out lost its guarantee";
+  ASSERT_TRUE(result.stats.is_exact) << "exact fan-out lost its guarantee";
   ASSERT_TRUE(result.stats.is_exact);
   ASSERT_EQ(result.stats.termination, QueryTermination::kCompleted);
 
@@ -275,7 +275,7 @@ TEST(DynDifferentialTest, BudgetedFanOutCertifiesWhatItSkipped) {
   options.budget.max_entries = 4;  // Starves most of the fan-out.
   NearestNeighborResult degraded =
       workload.index->FindKNearest(target, family, 5, options);
-  EXPECT_FALSE(degraded.guaranteed_exact);
+  EXPECT_FALSE(degraded.stats.is_exact);
   EXPECT_EQ(degraded.stats.termination, QueryTermination::kEntryBudget);
   EXPECT_GT(degraded.stats.entries_unexplored, 0u);
 
@@ -377,7 +377,7 @@ SweepCounts RunDeletedFractionSweep(bool oldest_first) {
                          &result);
       evaluated += static_cast<double>(result.stats.transactions_evaluated);
       fetched += static_cast<double>(result.stats.io.transactions_fetched);
-      EXPECT_TRUE(result.guaranteed_exact);
+      EXPECT_TRUE(result.stats.is_exact);
       const std::vector<Neighbor> expected =
           scanner.FindKNearest(targets[t], family, kK);
       EXPECT_EQ(result.neighbors.size(), expected.size());

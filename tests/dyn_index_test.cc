@@ -71,7 +71,6 @@ void ExpectExactOverLive(const DynamicIndex& index,
   NearestNeighborResult result = index.FindKNearest(target, family, k);
   const std::vector<Neighbor> expected =
       SequentialScanner(&live).FindKNearest(target, family, k);
-  EXPECT_TRUE(result.guaranteed_exact);
   EXPECT_TRUE(result.stats.is_exact);
   ASSERT_EQ(result.neighbors.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -172,7 +171,6 @@ TEST(DynamicIndexTest, QueriesSpanBufferAndComponents) {
   const Transaction target = generator.NextTransaction();
   NearestNeighborResult result = index.FindKNearest(target, family, 10);
   EXPECT_EQ(result.neighbors.size(), 10u);
-  EXPECT_TRUE(result.guaranteed_exact);
   EXPECT_TRUE(result.stats.is_exact);
   EXPECT_EQ(result.stats.termination, QueryTermination::kCompleted);
   // database_size sums the partitioned components + buffer.
@@ -379,7 +377,7 @@ TEST(DynComponentTest, CarryDeletesIntoRemarksLateDeletesAndPurgesTheRest) {
           return scan;
         }()}) {
     EXPECT_EQ(result.neighbors.size(), 5u);
-    EXPECT_TRUE(result.guaranteed_exact);
+    EXPECT_TRUE(result.stats.is_exact);
     for (const Neighbor& neighbor : result.neighbors) {
       EXPECT_NE(neighbor.id, 1u);
       EXPECT_NE(neighbor.id, 6u);
@@ -556,7 +554,7 @@ TEST(DynIoTest, CorruptTableQuarantinesOneComponentOnly) {
     EXPECT_EQ(degraded.neighbors[i].similarity,
               original.neighbors[i].similarity);
   }
-  EXPECT_TRUE(degraded.guaranteed_exact);
+  EXPECT_TRUE(degraded.stats.is_exact);
   EXPECT_GE(degraded.stats.sequential_fallbacks, 1u);
 
   // A compaction re-mines everything, clearing the quarantine.
@@ -601,7 +599,7 @@ TEST(KnnMergerTest, MergesEveryPathByValueThenGid) {
   EXPECT_EQ(merged.neighbors[0].id, 9u);
   EXPECT_EQ(merged.neighbors[1].id, 3u);  // Tied at 0.9: ascending gid.
   EXPECT_EQ(merged.neighbors[2].id, 5u);
-  EXPECT_TRUE(merged.guaranteed_exact);
+  EXPECT_TRUE(merged.stats.is_exact);
 }
 
 TEST(KnnMergerTest, CertificateAndExactnessFollowTheMergeRules) {
@@ -619,10 +617,9 @@ TEST(KnnMergerTest, CertificateAndExactnessFollowTheMergeRules) {
   merger.AddStats(skipped);
   NearestNeighborResult merged;
   merger.Finish(&merged);
-  EXPECT_FALSE(merged.guaranteed_exact);
+  EXPECT_FALSE(merged.stats.is_exact);
   EXPECT_EQ(merged.stats.certificate_bound, 0.75);
   EXPECT_EQ(merged.stats.termination, QueryTermination::kEntryBudget);
-  EXPECT_EQ(merged.unexplored_optimistic_bound, 0.75);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "baseline/sequential_scan.h"
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
+#include "core/query_context.h"
 #include "gen/quest_generator.h"
 
 namespace mbi {
@@ -37,9 +38,9 @@ TEST(EngineEdgeTest, EmptyTargetIsAnswered) {
   InverseHammingFamily family;
 
   Transaction empty;
-  auto result = engine.FindNearest(empty, family);
+  auto result = engine.FindKNearest(empty, family, 1);
   auto oracle = scanner.FindKNearest(empty, family, 1);
-  EXPECT_TRUE(result.guaranteed_exact);
+  EXPECT_TRUE(result.stats.is_exact);
   EXPECT_EQ(result.neighbors[0].similarity, oracle[0].similarity);
 }
 
@@ -54,8 +55,8 @@ TEST(EngineEdgeTest, TargetCoveringTheWholeUniverse) {
 
   std::vector<ItemId> all;
   for (ItemId i = 0; i < 16; ++i) all.push_back(i);
-  auto result = engine.FindNearest(Transaction(all), family);
-  EXPECT_TRUE(result.guaranteed_exact);
+  auto result = engine.FindKNearest(Transaction(all), family, 1);
+  EXPECT_TRUE(result.stats.is_exact);
   // Every row shares exactly 1 item, differs in 15: similarity 1/15,
   // smallest id wins the tie.
   EXPECT_EQ(result.neighbors[0].id, 0u);
@@ -73,7 +74,7 @@ TEST(EngineEdgeTest, SingleTransactionDatabase) {
   ASSERT_EQ(result.neighbors.size(), 1u);
   EXPECT_EQ(result.neighbors[0].id, 0u);
   EXPECT_DOUBLE_EQ(result.neighbors[0].similarity, 1.0);
-  EXPECT_TRUE(result.guaranteed_exact);
+  EXPECT_TRUE(result.stats.is_exact);
 }
 
 TEST(EngineEdgeTest, AllIdenticalTransactions) {
@@ -110,11 +111,11 @@ TEST(EngineEdgeTest, GapAndTerminationCompose) {
   options.max_access_fraction = 0.05;
   for (int q = 0; q < 6; ++q) {
     Transaction target = generator.NextTransaction();
-    auto result = engine.FindNearest(target, family, options);
+    auto result = engine.FindKNearest(target, family, 1, options);
     auto oracle = scanner.FindKNearest(target, family, 1);
     // The uniform quality bound must hold with both knobs active.
     EXPECT_GE(std::max(result.neighbors[0].similarity,
-                       result.best_unscanned_bound),
+                       result.stats.certificate_bound),
               oracle[0].similarity);
     EXPECT_LE(result.stats.transactions_evaluated, db.size());
   }
@@ -133,7 +134,7 @@ TEST(EngineEdgeTest, RangeQueryWithImpossibleThresholdScansNothing) {
   // Cosine can never exceed 1.
   auto result = engine.FindInRange(generator.NextTransaction(), family, 1.5);
   EXPECT_TRUE(result.matches.empty());
-  EXPECT_TRUE(result.guaranteed_complete);
+  EXPECT_TRUE(result.stats.is_exact);
   EXPECT_EQ(result.stats.entries_scanned, 0u);
   EXPECT_EQ(result.stats.entries_pruned, result.stats.entries_total);
 }
@@ -168,9 +169,9 @@ TEST(EngineEdgeTest, HigherActivationThresholdStillExact) {
   InverseHammingFamily family;
   for (int q = 0; q < 5; ++q) {
     Transaction target = generator.NextTransaction();
-    auto result = engine.FindNearest(target, family);
+    auto result = engine.FindKNearest(target, family, 1);
     auto oracle = scanner.FindKNearest(target, family, 1);
-    EXPECT_TRUE(result.guaranteed_exact);
+    EXPECT_TRUE(result.stats.is_exact);
     bool both_inf = std::isinf(result.neighbors[0].similarity) &&
                     std::isinf(oracle[0].similarity);
     EXPECT_TRUE(both_inf ||
@@ -193,8 +194,10 @@ TEST(EngineEdgeTest, MultiTargetWithIdenticalTargets) {
 
   Transaction target = generator.NextTransaction();
   auto single = engine.FindKNearest(target, family, 3);
-  auto multi =
-      engine.FindKNearestMultiTarget({target, target, target}, family, 3);
+  const std::vector<Transaction> targets = {target, target, target};
+  QueryContext context;
+  NearestNeighborResult multi;
+  engine.FindKNearestMultiTarget(targets, family, 3, {}, &context, &multi);
   ASSERT_EQ(single.neighbors.size(), multi.neighbors.size());
   for (size_t i = 0; i < single.neighbors.size(); ++i) {
     EXPECT_EQ(single.neighbors[i].id, multi.neighbors[i].id);

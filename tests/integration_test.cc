@@ -40,9 +40,9 @@ TEST(IntegrationTest, OneTableServesAllThreeSimilarityFunctions) {
   for (const char* name : {"hamming", "match_ratio", "cosine"}) {
     auto family = MakeSimilarityFamily(name);
     for (const Transaction& target : queries) {
-      auto result = engine.FindNearest(target, *family);
+      auto result = engine.FindKNearest(target, *family, 1);
       auto oracle = scanner.FindKNearest(target, *family, 1);
-      ASSERT_TRUE(result.guaranteed_exact);
+      ASSERT_TRUE(result.stats.is_exact);
       bool both_inf = std::isinf(result.neighbors[0].similarity) &&
                       std::isinf(oracle[0].similarity);
       EXPECT_TRUE(both_inf ||
@@ -73,10 +73,10 @@ TEST(IntegrationTest, PruningImprovesWithDatabaseSize) {
   auto queries = generator.GenerateQueries(10);
   double small_pruning = 0.0, big_pruning = 0.0;
   for (const Transaction& target : queries) {
-    small_pruning +=
-        small_engine.FindNearest(target, family).stats.PruningEfficiencyPercent();
-    big_pruning +=
-        big_engine.FindNearest(target, family).stats.PruningEfficiencyPercent();
+    small_pruning += small_engine.FindKNearest(target, family, 1)
+                         .stats.PruningEfficiencyPercent();
+    big_pruning += big_engine.FindKNearest(target, family, 1)
+                       .stats.PruningEfficiencyPercent();
   }
   EXPECT_GT(big_pruning / 10, small_pruning / 10);
 }
@@ -97,7 +97,7 @@ TEST(IntegrationTest, HigherCardinalityPrunesMore) {
     SignatureTable table = BuildIndex(db, build);
     BranchAndBoundEngine engine(&db, &table);
     for (const Transaction& target : queries) {
-      *out += engine.FindNearest(target, family).stats
+      *out += engine.FindKNearest(target, family, 1).stats
                   .PruningEfficiencyPercent();
     }
   }
@@ -120,8 +120,8 @@ TEST(IntegrationTest, EarlyTerminationAccuracyIsHighAtTwoPercent) {
   auto queries = generator.GenerateQueries(20);
   int correct = 0;
   for (const Transaction& target : queries) {
-    auto fast = engine.FindNearest(target, family, options);
-    auto exact = engine.FindNearest(target, family);
+    auto fast = engine.FindKNearest(target, family, 1, options);
+    auto exact = engine.FindKNearest(target, family, 1);
     bool both_inf = std::isinf(fast.neighbors[0].similarity) &&
                     std::isinf(exact.neighbors[0].similarity);
     correct += both_inf ||
@@ -146,7 +146,8 @@ TEST(IntegrationTest, SignatureTableBeatsInvertedIndexOnAccessVolume) {
   auto queries = generator.GenerateQueries(10);
   double table_access = 0.0, inverted_access = 0.0;
   for (const Transaction& target : queries) {
-    table_access += engine.FindNearest(target, family).stats.AccessedFraction();
+    table_access +=
+        engine.FindKNearest(target, family, 1).stats.AccessedFraction();
     inverted_access +=
         inverted.FindKNearest(target, family, 1).accessed_fraction;
   }
@@ -176,7 +177,7 @@ TEST(IntegrationTest, CorrelationAwareSignaturesBeatBalancedControlAtHigherR) {
     SignatureTable table = BuildIndex(db, build);
     BranchAndBoundEngine engine(&db, &table);
     for (const Transaction& target : queries) {
-      *out += engine.FindNearest(target, family).stats
+      *out += engine.FindKNearest(target, family, 1).stats
                   .PruningEfficiencyPercent();
     }
   }

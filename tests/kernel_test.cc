@@ -37,6 +37,7 @@
 #include "kernel/blocked_layout.h"
 #include "kernel/dispatch.h"
 #include "kernel/kernels.h"
+#include "reference_knn.h"
 #include "txn/candidate_layout.h"
 #include "txn/packed_target.h"
 #include "util/alloc_guard.h"
@@ -462,13 +463,13 @@ TEST(ForcedIsaSweepTest, FindKNearestBitIdenticalToReferenceUnderEveryIsa) {
   const SimilarityFamily* const families[] = {&match_ratio, &hamming, &cosine};
   for (const SimilarityFamily* family : families) {
     for (const Transaction& target : queries) {
-      const NearestNeighborResult reference =
-          engine.FindKNearestReference(target, *family, /*k=*/5);
+      const NearestNeighborResult reference = FindKNearestReference(
+          engine.database(), engine.table(), target, *family, /*k=*/5);
       for (Isa isa : SupportedIsas()) {
         kernel::ForceIsa(isa);
         QueryContext context;
-        const NearestNeighborResult got =
-            engine.FindKNearest(target, *family, /*k=*/5, {}, &context);
+        NearestNeighborResult got;
+        engine.FindKNearest(target, *family, /*k=*/5, {}, &context, &got);
         ASSERT_EQ(got.neighbors.size(), reference.neighbors.size())
             << kernel::IsaName(isa) << " " << family->name();
         for (size_t i = 0; i < got.neighbors.size(); ++i) {
@@ -478,7 +479,7 @@ TEST(ForcedIsaSweepTest, FindKNearestBitIdenticalToReferenceUnderEveryIsa) {
                     reference.neighbors[i].similarity)
               << kernel::IsaName(isa) << " " << family->name();
         }
-        EXPECT_EQ(got.guaranteed_exact, reference.guaranteed_exact);
+        EXPECT_EQ(got.stats.is_exact, reference.stats.is_exact);
       }
     }
   }

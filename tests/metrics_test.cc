@@ -425,7 +425,7 @@ TEST(EngineMetricsTest, BatchFallbackAggregatesAcrossTargets) {
   ASSERT_EQ(results.size(), fixture.queries.size());
   for (const NearestNeighborResult& result : results) {
     EXPECT_EQ(result.stats.sequential_fallbacks, 1u);
-    EXPECT_TRUE(result.guaranteed_exact);
+    EXPECT_TRUE(result.stats.is_exact);
   }
   EXPECT_EQ(engine.fallback_queries(), fixture.queries.size());
   EXPECT_EQ(registry.FindCounter("mbi.engine.query.fallback")->value(),

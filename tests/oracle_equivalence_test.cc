@@ -4,7 +4,7 @@
 // certificate, bounds, tie-breaks, stats, and traces — to
 //
 //  (a) the frozen pre-overhaul implementation
-//      (BranchAndBoundEngine::FindKNearest*Reference: full std::sort,
+//      (FindKNearest*Reference in reference_knn.h: full std::sort,
 //      fresh allocations, merge-scan MatchAndHamming), and
 //  (b) the SequentialScanner ground truth (for exact searches).
 //
@@ -26,6 +26,7 @@
 #include "core/index_builder.h"
 #include "core/query_context.h"
 #include "gen/quest_generator.h"
+#include "reference_knn.h"
 
 namespace mbi {
 namespace {
@@ -72,11 +73,10 @@ void ExpectSameResult(const NearestNeighborResult& a,
     ExpectSameDouble(a.neighbors[i].similarity, b.neighbors[i].similarity,
                      label + " similarity of neighbor " + std::to_string(i));
   }
-  EXPECT_EQ(a.guaranteed_exact, b.guaranteed_exact) << label;
-  ExpectSameDouble(a.unexplored_optimistic_bound, b.unexplored_optimistic_bound,
-                   label + " unexplored_optimistic_bound");
-  ExpectSameDouble(a.best_unscanned_bound, b.best_unscanned_bound,
-                   label + " best_unscanned_bound");
+  EXPECT_EQ(a.stats.termination, b.stats.termination) << label;
+  EXPECT_EQ(a.stats.is_exact, b.stats.is_exact) << label;
+  ExpectSameDouble(a.stats.certificate_bound, b.stats.certificate_bound,
+                   label + " certificate_bound");
 
   EXPECT_EQ(a.stats.database_size, b.stats.database_size) << label;
   EXPECT_EQ(a.stats.entries_total, b.stats.entries_total) << label;
@@ -143,12 +143,12 @@ TEST_P(OracleEquivalenceTest, OverhaulMatchesReferenceBitExactly) {
     options.collect_trace = shape.collect_trace;
     for (size_t q = 0; q < fixture.queries.size(); ++q) {
       const Transaction& target = fixture.queries[q];
-      NearestNeighborResult reference =
-          engine.FindKNearestReference(target, *family, k, options);
+      NearestNeighborResult reference = FindKNearestReference(
+          fixture.db, fixture.table, target, *family, k, options);
       NearestNeighborResult fresh =
           engine.FindKNearest(target, *family, k, options);
-      NearestNeighborResult reused =
-          engine.FindKNearest(target, *family, k, options, &context);
+      NearestNeighborResult reused;
+      engine.FindKNearest(target, *family, k, options, &context, &reused);
       std::string label = std::string(family_name) + "/" + shape.name +
                           "/k=" + std::to_string(k) +
                           "/q=" + std::to_string(q);
@@ -169,10 +169,10 @@ TEST_P(OracleEquivalenceTest, ExactSearchMatchesSequentialScan) {
   options.sort_order = sort_order;
   QueryContext context;
   for (const Transaction& target : fixture.queries) {
-    NearestNeighborResult result =
-        engine.FindKNearest(target, *family, k, options, &context);
+    NearestNeighborResult result;
+    engine.FindKNearest(target, *family, k, options, &context, &result);
     std::vector<Neighbor> oracle = scanner.FindKNearest(target, *family, k);
-    EXPECT_TRUE(result.guaranteed_exact);
+    EXPECT_TRUE(result.stats.is_exact);
     ASSERT_EQ(result.neighbors.size(), oracle.size());
     for (size_t i = 0; i < oracle.size(); ++i) {
       // Ids pin the tie-break ordering; similarities must agree bitwise
@@ -212,10 +212,11 @@ TEST(OracleEquivalenceMultiTargetTest, MatchesReferenceAndSequentialScan) {
                                  EntrySortOrder::kSupercoordinateSimilarity}) {
       SearchOptions options;
       options.sort_order = order;
-      NearestNeighborResult reference =
-          engine.FindKNearestMultiTargetReference(targets, *family, 5, options);
-      NearestNeighborResult result = engine.FindKNearestMultiTarget(
-          targets, *family, 5, options, &context);
+      NearestNeighborResult reference = FindKNearestMultiTargetReference(
+          fixture.db, fixture.table, targets, *family, 5, options);
+      NearestNeighborResult result;
+      engine.FindKNearestMultiTarget(targets, *family, 5, options, &context,
+                                     &result);
       ExpectSameResult(result, reference,
                        std::string(family_name) + " multi-target");
 
@@ -248,11 +249,11 @@ TEST(OracleEquivalenceMultiTargetTest, ManyTargetsMatchReferenceWithTrace) {
         options.max_access_fraction = shape.max_access_fraction;
         options.optimality_gap = shape.optimality_gap;
         options.collect_trace = true;
-        NearestNeighborResult reference =
-            engine.FindKNearestMultiTargetReference(targets, *family, 6,
-                                                    options);
-        NearestNeighborResult result = engine.FindKNearestMultiTarget(
-            targets, *family, 6, options, &context);
+        NearestNeighborResult reference = FindKNearestMultiTargetReference(
+            fixture.db, fixture.table, targets, *family, 6, options);
+        NearestNeighborResult result;
+        engine.FindKNearestMultiTarget(targets, *family, 6, options, &context,
+                                       &result);
         ExpectSameResult(result, reference,
                          std::string(family_name) + " 9 targets " + shape.name);
         if (shape.max_access_fraction == 1.0) {
@@ -279,9 +280,9 @@ TEST(OracleEquivalenceEdgeTest, KLargerThanDatabase) {
   QueryContext context;
   for (const Transaction& target : fixture.queries) {
     NearestNeighborResult reference =
-        engine.FindKNearestReference(target, *family, 100);
-    NearestNeighborResult result =
-        engine.FindKNearest(target, *family, 100, {}, &context);
+        FindKNearestReference(fixture.db, fixture.table, target, *family, 100);
+    NearestNeighborResult result;
+    engine.FindKNearest(target, *family, 100, {}, &context, &result);
     ExpectSameResult(result, reference, "k > db");
   }
 }
@@ -295,10 +296,10 @@ TEST(OracleEquivalenceEdgeTest, EmptyTargetAndTinyBudget) {
   options.max_access_fraction = 0.005;  // Budget of a single transaction.
   options.collect_trace = true;
   Transaction empty;
-  NearestNeighborResult reference =
-      engine.FindKNearestReference(empty, *family, 3, options);
-  NearestNeighborResult result =
-      engine.FindKNearest(empty, *family, 3, options, &context);
+  NearestNeighborResult reference = FindKNearestReference(
+      fixture.db, fixture.table, empty, *family, 3, options);
+  NearestNeighborResult result;
+  engine.FindKNearest(empty, *family, 3, options, &context, &result);
   ExpectSameResult(result, reference, "empty target, tiny budget");
 }
 

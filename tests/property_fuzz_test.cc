@@ -93,7 +93,7 @@ TEST_P(FuzzTest, EngineAgreesWithScanOracleOnRandomConfigurations) {
       size_t k = 1 + rng.UniformUint64(7);
       auto result = engine.FindKNearest(target, *family, k);
       auto oracle = scanner.FindKNearest(target, *family, k);
-      ASSERT_TRUE(result.guaranteed_exact)
+      ASSERT_TRUE(result.stats.is_exact)
           << "seed " << seed << " family " << family->name();
       ASSERT_EQ(result.neighbors.size(), oracle.size());
       for (size_t i = 0; i < oracle.size(); ++i) {
@@ -131,15 +131,15 @@ TEST_P(FuzzTest, EarlyTerminationCertificatesNeverLie) {
     auto oracle = scanner.FindKNearest(target, family, 1);
     SearchOptions options;
     options.max_access_fraction = 0.002 + rng.UniformDouble() * 0.05;
-    auto result = engine.FindNearest(target, family, options);
-    if (result.guaranteed_exact) {
+    auto result = engine.FindKNearest(target, family, 1, options);
+    if (result.stats.is_exact) {
       ASSERT_TRUE(SimilarityEqual(result.neighbors[0].similarity,
                                   oracle[0].similarity))
           << "seed " << seed << ": certificate lied";
     }
     // The uniform quality bound holds regardless.
     ASSERT_GE(std::max(result.neighbors[0].similarity,
-                       result.best_unscanned_bound),
+                       result.stats.certificate_bound),
               oracle[0].similarity)
         << "seed " << seed;
   }
@@ -170,7 +170,7 @@ TEST_P(FuzzTest, RangeQueriesMatchOracleAtRandomThresholds) {
       double threshold = rng.UniformDouble() * 1.2;
       auto result = engine.FindInRange(target, *family, threshold);
       auto oracle = scanner.FindInRange(target, *family, threshold);
-      ASSERT_TRUE(result.guaranteed_complete);
+      ASSERT_TRUE(result.stats.is_exact);
       ASSERT_EQ(result.matches.size(), oracle.size())
           << "seed " << seed << " " << name << " threshold " << threshold;
       for (size_t i = 0; i < oracle.size(); ++i) {

@@ -116,7 +116,6 @@ TEST(QueryBudgetTest, PreExpiredDeadlineStillAnswersWithCertificate) {
                                                      options);
   EXPECT_EQ(result.stats.termination, QueryTermination::kDeadline);
   EXPECT_FALSE(result.stats.is_exact);
-  EXPECT_FALSE(result.guaranteed_exact);
   // Min-one-entry guarantee: exactly one entry was scanned before the
   // budget check was allowed to fire.
   EXPECT_EQ(result.stats.entries_scanned, 1u);
@@ -229,8 +228,8 @@ TEST(QueryBudgetTest, ContextBudgetMergesTightestWins) {
   context.set_budget(session);
   SearchOptions options;
   options.budget.max_entries = 1000000;
-  NearestNeighborResult result =
-      engine.FindKNearest(target, family, 5, options, &context);
+  NearestNeighborResult result;
+  engine.FindKNearest(target, family, 5, options, &context, &result);
   EXPECT_EQ(result.stats.entries_scanned, 1u);
   EXPECT_EQ(result.stats.termination, QueryTermination::kEntryBudget);
 }
@@ -248,7 +247,6 @@ TEST(QueryBudgetTest, CompletedQueryReportsExactAndCompleted) {
                                                      options);
   EXPECT_EQ(result.stats.termination, QueryTermination::kCompleted);
   EXPECT_TRUE(result.stats.is_exact);
-  EXPECT_TRUE(result.guaranteed_exact);
   // Exactness is certified *by* the bound: everything unevaluated (pruned
   // entries included) provably cannot beat the k-th returned similarity.
   EXPECT_LE(result.stats.certificate_bound, result.neighbors.back().similarity);
@@ -267,7 +265,6 @@ TEST(QueryBudgetTest, RangeQueryCarriesTheCertificate) {
       engine.FindInRange(target, family, 0.2, options);
   EXPECT_EQ(result.stats.termination, QueryTermination::kEntryBudget);
   EXPECT_FALSE(result.stats.is_exact);
-  EXPECT_FALSE(result.guaranteed_complete);
   for (const Neighbor& match : result.matches) {
     EXPECT_GE(match.similarity, 0.2);
   }

@@ -24,6 +24,7 @@
 #include "core/query_context.h"
 #include "core/supercoordinate.h"
 #include "gen/quest_generator.h"
+#include "reference_knn.h"
 #include "util/alloc_guard.h"
 #include "util/thread_pool.h"
 
@@ -61,10 +62,9 @@ void ExpectSameResult(const NearestNeighborResult& a,
     EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id) << label;
     EXPECT_EQ(a.neighbors[i].similarity, b.neighbors[i].similarity) << label;
   }
-  EXPECT_EQ(a.guaranteed_exact, b.guaranteed_exact) << label;
-  EXPECT_EQ(a.unexplored_optimistic_bound, b.unexplored_optimistic_bound)
-      << label;
-  EXPECT_EQ(a.best_unscanned_bound, b.best_unscanned_bound) << label;
+  EXPECT_EQ(a.stats.termination, b.stats.termination) << label;
+  EXPECT_EQ(a.stats.is_exact, b.stats.is_exact) << label;
+  EXPECT_EQ(a.stats.certificate_bound, b.stats.certificate_bound) << label;
   EXPECT_EQ(a.stats.entries_scanned, b.stats.entries_scanned) << label;
   EXPECT_EQ(a.stats.entries_pruned, b.stats.entries_pruned) << label;
   EXPECT_EQ(a.stats.transactions_evaluated, b.stats.transactions_evaluated)
@@ -96,8 +96,9 @@ TEST(QueryContextTest, InterleavedShapesMatchFreshContexts) {
       options.sort_order = orders[q % 2];
       options.max_access_fraction = (q % 3 == 2) ? 0.1 : 1.0;
       size_t k = ks[(round + q) % 4];
-      NearestNeighborResult with_context = engine.FindKNearest(
-          fixture.queries[q], family, k, options, &reused);
+      NearestNeighborResult with_context;
+      engine.FindKNearest(fixture.queries[q], family, k, options, &reused,
+                          &with_context);
       NearestNeighborResult fresh =
           engine.FindKNearest(fixture.queries[q], family, k, options);
       ExpectSameResult(with_context, fresh,
@@ -117,19 +118,20 @@ TEST(QueryContextTest, MultiTargetToSingleTargetDoesNotLeak) {
   QueryContext context;
   std::vector<Transaction> many(fixture.queries.begin(),
                                 fixture.queries.begin() + 3);
-  engine.FindKNearestMultiTarget(many, *family, 4, {}, &context);
+  NearestNeighborResult multi;
+  engine.FindKNearestMultiTarget(many, *family, 4, {}, &context, &multi);
 
-  NearestNeighborResult with_context =
-      engine.FindKNearest(fixture.queries[4], *family, 4, {}, &context);
+  NearestNeighborResult with_context;
+  engine.FindKNearest(fixture.queries[4], *family, 4, {}, &context,
+                      &with_context);
   NearestNeighborResult fresh =
       engine.FindKNearest(fixture.queries[4], *family, 4);
   ExpectSameResult(with_context, fresh, "after multi-target");
 
   // And back up to multi-target, which must match the reference path.
-  NearestNeighborResult multi =
-      engine.FindKNearestMultiTarget(many, *family, 4, {}, &context);
-  NearestNeighborResult multi_ref =
-      engine.FindKNearestMultiTargetReference(many, *family, 4);
+  engine.FindKNearestMultiTarget(many, *family, 4, {}, &context, &multi);
+  NearestNeighborResult multi_ref = FindKNearestMultiTargetReference(
+      fixture.db, fixture.table, many, *family, 4);
   ExpectSameResult(multi, multi_ref, "multi-target after single");
 }
 
@@ -152,8 +154,8 @@ TEST(QueryContextTest, ParallelBoundComputationIsDeterministic) {
       for (const Transaction& target : fixture.queries) {
         SearchOptions options;
         options.collect_trace = true;
-        NearestNeighborResult parallel =
-            engine.FindKNearest(target, *family, 5, options, &context);
+        NearestNeighborResult parallel;
+        engine.FindKNearest(target, *family, 5, options, &context, &parallel);
         NearestNeighborResult serial =
             engine.FindKNearest(target, *family, 5, options);
         ExpectSameResult(parallel, serial,

@@ -146,7 +146,7 @@ TEST(BinaryRTreeTest, SignatureTablePrunesFarBetterOnBasketData) {
     rtree_access += tree.FindKNearestHamming(target, 1).stats
                         .AccessedFraction();
     table_access +=
-        engine.FindNearest(target, family).stats.AccessedFraction();
+        engine.FindKNearest(target, family, 1).stats.AccessedFraction();
   }
   EXPECT_GT(rtree_access, 2.0 * table_access);
 

@@ -32,7 +32,7 @@ TEST(TraceTest, DisabledByDefault) {
   Fixture fixture = MakeFixture();
   BranchAndBoundEngine engine(&fixture.db, &fixture.table);
   MatchRatioFamily family;
-  auto result = engine.FindNearest(fixture.queries[0], family);
+  auto result = engine.FindKNearest(fixture.queries[0], family, 1);
   EXPECT_TRUE(result.trace.empty());
 }
 
@@ -44,7 +44,7 @@ TEST(TraceTest, CoversEveryEntryExactlyOnce) {
   options.collect_trace = true;
 
   for (const Transaction& target : fixture.queries) {
-    auto result = engine.FindNearest(target, family, options);
+    auto result = engine.FindKNearest(target, family, 1, options);
     EXPECT_EQ(result.trace.size(), fixture.table.entries().size());
     size_t scanned = 0, pruned = 0, unexplored = 0;
     uint64_t scanned_transactions = 0;
@@ -75,7 +75,7 @@ TEST(TraceTest, PrunedEntriesNeverBeatThePessimisticBoundAtVisit) {
   InverseHammingFamily family;
   SearchOptions options;
   options.collect_trace = true;
-  auto result = engine.FindNearest(fixture.queries[0], family, options);
+  auto result = engine.FindKNearest(fixture.queries[0], family, 1, options);
   for (const EntryTrace& entry : result.trace) {
     if (entry.action == EntryTrace::Action::kPruned) {
       EXPECT_LE(entry.optimistic_bound, entry.pessimistic_bound);
@@ -89,7 +89,7 @@ TEST(TraceTest, VisitOrderIsByDecreasingOptimisticBound) {
   MatchRatioFamily family;
   SearchOptions options;
   options.collect_trace = true;
-  auto result = engine.FindNearest(fixture.queries[1], family, options);
+  auto result = engine.FindKNearest(fixture.queries[1], family, 1, options);
   for (size_t i = 1; i < result.trace.size(); ++i) {
     EXPECT_GE(result.trace[i - 1].optimistic_bound,
               result.trace[i].optimistic_bound);

@@ -54,8 +54,8 @@ TEST(TunerTest, RecommendedConfigBuildsAWorkingIndex) {
 
   SignatureTable table = BuildIndex(db, result.recommended);
   BranchAndBoundEngine engine(&db, &table);
-  auto answer = engine.FindNearest(queries[0], family);
-  EXPECT_TRUE(answer.guaranteed_exact);
+  auto answer = engine.FindKNearest(queries[0], family, 1);
+  EXPECT_TRUE(answer.stats.is_exact);
   EXPECT_GT(answer.stats.PruningEfficiencyPercent(), 50.0);
 }
 

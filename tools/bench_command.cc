@@ -126,7 +126,7 @@ int RunBench(int argc, char** argv) {
     latency_ms.Add(timer.ElapsedMillis());
     access_percent.Add(100.0 * result.stats.AccessedFraction());
     pages.Add(static_cast<double>(result.stats.io.pages_read));
-    certified += result.guaranteed_exact;
+    certified += result.stats.is_exact;
     degraded += !result.stats.is_exact;
   }
 

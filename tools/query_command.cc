@@ -193,7 +193,7 @@ int RunQuery(int argc, char** argv) {
                   result.matches[i].similarity,
                   db->Get(result.matches[i].id).ToString().c_str());
     }
-    if (!result.guaranteed_complete) {
+    if (!result.stats.is_exact) {
       std::printf("degraded answer (%s): unexplored entries could reach %.4g\n",
                   QueryTerminationName(result.stats.termination),
                   result.stats.certificate_bound);
@@ -226,16 +226,16 @@ int RunQuery(int argc, char** argv) {
       static_cast<long long>(k), similarity.c_str(), per_query_ms,
       repeat > 1 ? " per query" : "", 100.0 * result.stats.AccessedFraction(),
       db->size(), static_cast<unsigned long long>(result.stats.io.pages_read),
-      result.guaranteed_exact ? ", provably exact" : "",
+      result.stats.is_exact ? ", provably exact" : "",
       result.stats.sequential_fallbacks > 0 ? ", sequential fallback" : "");
   for (const Neighbor& neighbor : result.neighbors) {
     std::printf("  tx %-10u %-10.4g %s\n", neighbor.id, neighbor.similarity,
                 db->Get(neighbor.id).ToString().c_str());
   }
-  if (!result.guaranteed_exact) {
+  if (!result.stats.is_exact) {
     std::printf("degraded answer (%s): unexplored entries could reach %.4g\n",
                 QueryTerminationName(result.stats.termination),
-                result.unexplored_optimistic_bound);
+                result.stats.certificate_bound);
   }
   if (explain && engine.table() != nullptr) {
     std::printf("\nbranch-and-bound trace (first 20 entries in visit order,"
