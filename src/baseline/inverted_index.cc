@@ -173,13 +173,7 @@ InvertedIndex::Result InvertedIndex::FindKNearest(
   MBI_CHECK_EQ(pool.total_pins(), 0u);
   MBI_DCHECK((pool.CheckInvariants(), true));
 
-  std::sort(scored.begin(), scored.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
+  std::sort(scored.begin(), scored.end(), BestFirst());
   if (scored.size() > k) scored.resize(k);
   result.neighbors = std::move(scored);
   result.stats.io = result.io;

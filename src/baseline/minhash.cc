@@ -112,13 +112,7 @@ MinHashIndex::Result MinHashIndex::FindKNearestJaccard(
     scored.push_back({id, jaccard.Evaluate(static_cast<int>(match),
                                            static_cast<int>(hamming))});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
+  std::sort(scored.begin(), scored.end(), BestFirst());
   if (scored.size() > k) scored.resize(k);
   result.neighbors = std::move(scored);
   return result;

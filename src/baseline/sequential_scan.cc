@@ -12,13 +12,7 @@ namespace mbi {
 namespace {
 
 void SortBestFirst(std::vector<Neighbor>* neighbors) {
-  std::sort(neighbors->begin(), neighbors->end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
+  std::sort(neighbors->begin(), neighbors->end(), BestFirst());
 }
 
 /// Streaming-layout I/O model shared by every scan: one transaction fetch

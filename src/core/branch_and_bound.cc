@@ -17,19 +17,6 @@ namespace {
 
 constexpr double kNegInfinity = -std::numeric_limits<double>::infinity();
 
-/// Strict ordering "a is a better result than b". Used as the `<` of a
-/// std::*_heap, it puts the *worst* kept candidate at the heap front (the
-/// heap max is the least-better element), which is exactly the pessimistic
-/// bound. Ties on similarity rank smaller ids as better, so the evicted
-/// element among ties is the largest id — deterministic output. As a sort
-/// comparator it puts results best first.
-struct BetterThan {
-  bool operator()(const Neighbor& a, const Neighbor& b) const {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return a.id < b.id;
-  }
-};
-
 /// Transactions-evaluated budget implied by the early-termination fraction.
 uint64_t AccessBudget(double fraction, uint64_t database_size) {
   MBI_CHECK_MSG(fraction > 0.0 && fraction <= 1.0,
@@ -69,7 +56,7 @@ NearestNeighborResult BranchAndBoundEngine::FindKNearest(
 MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     std::span<const Transaction> targets, const SimilarityFamily& family,
     size_t k, const SearchOptions& options, QueryContext* context,
-    NearestNeighborResult* result_out) const {
+    NearestNeighborResult* result_out, double floor) const {
   MBI_CHECK(context != nullptr);
   MBI_CHECK(result_out != nullptr);
   const size_t num_targets = targets.size();
@@ -196,23 +183,19 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   const bool budget_limited = qbudget.limited();
 
   // Min-heap of the k best candidates; front is the pessimistic bound once
-  // the heap is full.
+  // the heap is full. The caller's floor (k rows it already holds) raises
+  // the bound in effect; with the default -inf it changes nothing.
   std::vector<Neighbor>& knn_heap = ctx.knn_heap_;
   knn_heap.clear();
+  const bool has_floor = floor > kNegInfinity;
   auto pessimistic = [&]() {
-    return knn_heap.size() == k ? knn_heap.front().similarity : kNegInfinity;
+    return std::max(
+        knn_heap.size() == k ? knn_heap.front().similarity : kNegInfinity,
+        floor);
   };
   auto finish_candidate = [&](TransactionId id, double similarity) {
     ++result.stats.transactions_evaluated;
-    Neighbor incoming{id, similarity};
-    if (knn_heap.size() < k) {
-      knn_heap.push_back(incoming);
-      std::push_heap(knn_heap.begin(), knn_heap.end(), BetterThan());
-    } else if (BetterThan()(incoming, knn_heap.front())) {
-      std::pop_heap(knn_heap.begin(), knn_heap.end(), BetterThan());
-      knn_heap.back() = incoming;
-      std::push_heap(knn_heap.begin(), knn_heap.end(), BetterThan());
-    }
+    OfferToTopK({id, similarity}, k, &knn_heap);
   };
   // Batched evaluation of one entry's candidate list through the SIMD
   // match kernel. Integer x/y per candidate, targets accumulated in
@@ -259,9 +242,11 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     // Cooperative budget check, entry granularity. Guarded on at least one
     // scanned entry so a degraded answer always carries at least one real
     // candidate (an already-expired deadline still returns the best of the
-    // top-ranked entry, never an empty neighbor list); the first entry can
-    // never prune (the k-heap cannot be full before the first scan), so
-    // entries_scanned > 0 always holds from the second iteration on.
+    // top-ranked entry, never an empty neighbor list). Without a floor the
+    // first entry can never prune (the k-heap cannot be full before the
+    // first scan), so entries_scanned > 0 holds from the second iteration
+    // on; with one, pruned entries cost nothing and the caller already
+    // holds k rows.
     if (budget_limited && result.stats.entries_scanned > 0) {
       if (qbudget.cancelled()) {
         terminated_early = true;
@@ -281,7 +266,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     }
     const uint32_t entry_index = order[cursor++];
     double optimistic = ctx.optimistic_[entry_index];
-    if (knn_heap.size() == k &&
+    if ((knn_heap.size() == k || has_floor) &&
         optimistic <= pessimistic() + options.optimality_gap) {
       max_pruned_bound = std::max(max_pruned_bound, optimistic);
       record_trace(entry_index, EntryTrace::Action::kPruned);
@@ -331,14 +316,15 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   // Paper-§4.2 certificate: no transaction the search did not evaluate can
   // beat the best optimistic bound over pruned and unexplored entries, and
   // the answer is exact iff that bound cannot beat the k-th best found.
-  // While the heap holds fewer than k rows nothing can have been pruned, so
-  // the test then passes only when every entry was scanned — which is
-  // exactly right when fewer than k rows are live.
+  // While the heap holds fewer than k rows and there is no floor nothing can
+  // have been pruned, so the test then passes only when every entry was
+  // scanned — which is exactly right when fewer than k rows are live. With a
+  // floor the caller's k rows stand in for the missing ones.
   result.stats.termination = termination;
   result.stats.certificate_bound = std::max(max_pruned_bound, unexplored_bound);
   result.stats.is_exact = result.stats.certificate_bound <= pessimistic();
 
-  std::sort(knn_heap.begin(), knn_heap.end(), BetterThan());
+  std::sort(knn_heap.begin(), knn_heap.end(), BestFirst());
   result.neighbors.assign(knn_heap.begin(), knn_heap.end());
 }
 
@@ -471,7 +457,7 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   result.stats.termination = termination;
   result.stats.is_exact = !terminated_early;
   result.stats.certificate_bound = unexplored_bound;
-  std::sort(result.matches.begin(), result.matches.end(), BetterThan());
+  std::sort(result.matches.begin(), result.matches.end(), BestFirst());
   return result;
 }
 

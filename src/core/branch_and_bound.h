@@ -1,7 +1,10 @@
 #ifndef MBI_CORE_BRANCH_AND_BOUND_H_
 #define MBI_CORE_BRANCH_AND_BOUND_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -26,6 +29,34 @@ struct Neighbor {
   TransactionId id = kInvalidTransactionId;
   double similarity = 0.0;
 };
+
+/// The one result order every k-NN and range path shares: "a ranks before
+/// b" — higher similarity first, ties by ascending id. As a sort comparator
+/// it puts results best first. As the `<` of a std::*_heap it keeps the
+/// *worst* kept result at the front (the pessimistic bound), and among ties
+/// the largest id is evicted first, so every top-k is deterministic and
+/// equal to sort-then-truncate.
+struct BestFirst {
+  bool operator()(const Neighbor& a, const Neighbor& b) const {
+    if (a.similarity != b.similarity) return a.similarity > b.similarity;
+    return a.id < b.id;
+  }
+};
+
+/// Offers `incoming` to a top-`k` kept in `*heap` as a std::*_heap under
+/// BestFirst: the heap front is the worst kept row, which `incoming`
+/// replaces when it ranks before it.
+inline void OfferToTopK(Neighbor incoming, size_t k,
+                        std::vector<Neighbor>* heap) {
+  if (heap->size() < k) {
+    heap->push_back(incoming);
+    std::push_heap(heap->begin(), heap->end(), BestFirst());
+  } else if (BestFirst()(incoming, heap->front())) {
+    std::pop_heap(heap->begin(), heap->end(), BestFirst());
+    heap->back() = incoming;
+    std::push_heap(heap->begin(), heap->end(), BestFirst());
+  }
+}
 
 /// Order in which the signature table entries are visited (paper §4
 /// discusses both; the paper's experiments use the optimistic-bound order).
@@ -167,19 +198,26 @@ class BranchAndBoundEngine {
   /// result) pair makes repeat queries allocate nothing at all — the steady
   /// state query_context_test pins under ScopedAllocationBan. `context` must
   /// not be shared between concurrent queries.
-  MBI_HOT void FindKNearestMultiTarget(std::span<const Transaction> targets,
-                                       const SimilarityFamily& family,
-                                       size_t k, const SearchOptions& options,
-                                       QueryContext* context,
-                                       NearestNeighborResult* result) const;
+  ///
+  /// `floor` says the caller already holds k rows at least this similar
+  /// (a dyn fan-out passes the k-th best merged so far): entries are pruned
+  /// against max(pessimistic, floor), so the search returns only rows that
+  /// can still enter the caller's top k, and `stats.is_exact` certifies
+  /// against that same max. The default -inf is the plain search.
+  MBI_HOT void FindKNearestMultiTarget(
+      std::span<const Transaction> targets, const SimilarityFamily& family,
+      size_t k, const SearchOptions& options, QueryContext* context,
+      NearestNeighborResult* result,
+      double floor = -std::numeric_limits<double>::infinity()) const;
 
   /// Single-target k-NN: FindKNearestMultiTarget with n = 1.
-  MBI_HOT void FindKNearest(const Transaction& target,
-                            const SimilarityFamily& family, size_t k,
-                            const SearchOptions& options,
-                            QueryContext* context,
-                            NearestNeighborResult* result) const {
-    FindKNearestMultiTarget({&target, 1}, family, k, options, context, result);
+  MBI_HOT void FindKNearest(
+      const Transaction& target, const SimilarityFamily& family, size_t k,
+      const SearchOptions& options, QueryContext* context,
+      NearestNeighborResult* result,
+      double floor = -std::numeric_limits<double>::infinity()) const {
+    FindKNearestMultiTarget({&target, 1}, family, k, options, context, result,
+                            floor);
   }
 
   /// Convenience form with a fresh context and result per call.

@@ -65,9 +65,12 @@ struct QueryStats {
   QueryTermination termination = QueryTermination::kCompleted;
 
   /// k-NN: true iff the returned neighbors are provably the exact top-k in
-  /// similarity values (everything was scanned, or Lemma 2.1 bounds every
-  /// pruned and unexplored entry at or below the k-th best). Range: true iff
-  /// the enumeration ran to completion.
+  /// similarity values: `certificate_bound` is at or below the k-th best
+  /// (everything was scanned, or Lemma 2.1 bounds every pruned and
+  /// unexplored entry at or below it). A branch and bound run with a caller
+  /// floor judges against max(k-th best, floor); the dyn fan-out judges the
+  /// union once, against the merged k-th best (KnnMerger::Finish). Range:
+  /// true iff the enumeration ran to completion.
   bool is_exact = true;
 
   /// Largest optimistic similarity bound over the entries the search did not
@@ -110,7 +113,8 @@ inline QueryTermination MergeTermination(QueryTermination a,
 /// Folds one component's (or one batch entry's) stats into an aggregate.
 /// The aggregation rules are part of the §4 certificate contract and must
 /// not be improvised per call site (engine batch paths, the dynamization
-/// KnnMerger, and the CLI all share this):
+/// KnnMerger, and the CLI all share this; the KnnMerger then re-judges
+/// `is_exact` once over the union of one query's parts):
 ///
 ///  * counters and I/O — sum (work is additive across components),
 ///  * `database_size` — sum (components partition the logical database;

@@ -202,9 +202,11 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynIo::Load(
         LoadSignatureTable(TablePath(prefix, i), rows, env);
     if (loaded_table.ok()) table.emplace(std::move(loaded_table).value());
     MutexLock lock(&index->mu_);
-    index->state_.components.push_back(DynComponent::CreateFromLoaded(
-        manifest.level, std::move(manifest.gids), std::move(rows),
-        std::move(table)));
+    DynamicIndex::InsertInFanOutOrder(
+        DynComponent::CreateFromLoaded(manifest.level,
+                                       std::move(manifest.gids),
+                                       std::move(rows), std::move(table)),
+        &index->state_.components);
   }
 
   std::optional<DynamicIndex::MergePlan> plan;

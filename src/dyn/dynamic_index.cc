@@ -27,6 +27,15 @@ double PointwiseBound(const SimilarityFunction& similarity,
   return similarity.Evaluate(static_cast<int>(target_size), 0);
 }
 
+/// The fan-out order: larger components first (their k best usually raise
+/// the shared floor most), equal sizes by smallest gid so the order — and
+/// with it every query's counts — is deterministic.
+bool FansOutBefore(const std::shared_ptr<const DynComponent>& a,
+                   const std::shared_ptr<const DynComponent>& b) {
+  if (a->size() != b->size()) return a->size() > b->size();
+  return a->gids.front() < b->gids.front();
+}
+
 }  // namespace
 
 // --- DynComponent -----------------------------------------------------------
@@ -227,8 +236,9 @@ void DynamicIndex::SpillLocked() {
   }
   tombstones_ -= n - gids.size();
   if (!gids.empty()) {
-    state_.components.push_back(DynComponent::Create(
-        /*level=*/0, std::move(gids), std::move(rows), options_.build));
+    InsertInFanOutOrder(DynComponent::Create(/*level=*/0, std::move(gids),
+                                             std::move(rows), options_.build),
+                        &state_.components);
   }
   state_.buffer = std::make_shared<MutableBuffer>(options_.buffer_capacity);
   if (metrics_.spills != nullptr) metrics_.spills->Increment();
@@ -397,7 +407,7 @@ std::optional<DynamicIndex::MergePlan> DynamicIndex::PublishMergeLocked(
     components.erase(it);
   }
   tombstones_ -= purged;
-  if (merged != nullptr) components.push_back(std::move(merged));
+  if (merged != nullptr) InsertInFanOutOrder(std::move(merged), &components);
   merge_in_flight_ = false;
   if (metrics_.merges != nullptr) metrics_.merges->Increment();
   UpdateGaugesLocked();
@@ -442,6 +452,14 @@ Status DynamicIndex::Compact() {
 
 void DynamicIndex::WaitForMaintenance() const { scheduler_.Drain(); }
 
+void DynamicIndex::InsertInFanOutOrder(
+    std::shared_ptr<const DynComponent> component,
+    std::vector<std::shared_ptr<const DynComponent>>* components) {
+  const auto at = std::upper_bound(components->begin(), components->end(),
+                                   component, FansOutBefore);
+  components->insert(at, std::move(component));
+}
+
 // --- Queries ----------------------------------------------------------------
 
 uint64_t DynamicIndex::QueryComponent(const DynComponent& component,
@@ -449,6 +467,7 @@ uint64_t DynamicIndex::QueryComponent(const DynComponent& component,
                                       const SimilarityFamily& family,
                                       size_t k_component,
                                       const SearchOptions& options,
+                                      double floor,
                                       DynQueryContext* context) const {
   NearestNeighborResult* out = &context->component_result;
   if (component.quarantined) {
@@ -457,7 +476,7 @@ uint64_t DynamicIndex::QueryComponent(const DynComponent& component,
     out->stats.sequential_fallbacks = 1;
   } else {
     component.engine->FindKNearest(target, family, k_component, options,
-                                   &context->context, out);
+                                   &context->context, out, floor);
   }
   // Map component-local ids to global ids before the merge sees them.
   for (Neighbor& neighbor : out->neighbors) {
@@ -543,10 +562,14 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   context->merger.AddStats(buffer_stats);
 
   // --- Component fan-out. ---
-  // Each component skips its deleted rows, so it is asked for exactly k
-  // (KnnMerger invariants); the budget's entry cap is split across the
-  // fan-out by charging each component's scan units as they accrue.
+  // Largest first (the order state_.components is kept in), each component
+  // pruned against the k-th best merged so far, so a later component
+  // returns only rows that can still enter the top k (KnnMerger
+  // invariants). A component with no live row is skipped outright. The
+  // budget's entry cap is split across the fan-out by charging each
+  // component's scan units as they accrue.
   for (const auto& component : snapshot.components) {
+    if (component->deleted.AllMarked()) continue;
     QueryTermination skip_cause = QueryTermination::kCompleted;
     if (budget.cancelled()) {
       skip_cause = QueryTermination::kCancelled;
@@ -579,7 +602,8 @@ void DynamicIndex::FindKNearest(const Transaction& target,
     }
     charged += QueryComponent(*component, target, family,
                               std::min(k, component->size()),
-                              component_options, context);
+                              component_options, context->merger.Threshold(),
+                              context);
     context->merger.AddComponent(context->component_result);
   }
 
@@ -716,6 +740,10 @@ Status DynamicIndex::CheckInvariants() const {
     for (const auto& component : state_.components) {
       marked += component->deleted.Count();
     }
+  }
+  if (!std::is_sorted(snapshot.components.begin(), snapshot.components.end(),
+                      FansOutBefore)) {
+    return Status::Corruption("components out of fan-out order");
   }
   std::vector<TransactionId> all_gids;
   for (const auto& component : snapshot.components) {

@@ -166,12 +166,14 @@ struct DynamicIndexOptions {
 /// component's DeleteMask); every part skips marked rows before its top-k,
 /// and the first spill or merge that consumes the row purges it.
 ///
-/// Queries fan out across buffer + every component and merge under the
-/// paper's optimistic-bound semantics (KnnMerger): values and cutoff-tie
-/// behaviour are bit-identical to one SequentialScanner over the live union
-/// (dyn_differential_test gates this), certificates merge as max, and a
-/// budget that expires mid-fanout skips remaining components with their rows
-/// certified unexplored.
+/// Queries scan the buffer, then visit the components largest-first, each
+/// pruned against the k-th best merged so far (KnnMerger::Threshold), so
+/// the whole fan-out shares one pruning threshold; components whose rows
+/// are all deleted are skipped. Values and cutoff-tie behaviour are
+/// bit-identical to one SequentialScanner over the live union
+/// (dyn_differential_test gates this), the union carries one §4.2
+/// certificate, and a budget that expires mid-fanout skips remaining
+/// components with their rows certified unexplored.
 ///
 /// Thread safety: any number of concurrent readers (each with its own
 /// DynQueryContext) against one writer; Insert/Delete/Compact serialize on
@@ -265,6 +267,7 @@ class DynamicIndex {
     /// Non-const only for the Append and delete-mark paths (serialized under
     /// mu_); query snapshots touch const methods exclusively.
     std::shared_ptr<MutableBuffer> buffer;
+    /// In fan-out order (InsertInFanOutOrder).
     std::vector<std::shared_ptr<const DynComponent>> components;
   };
 
@@ -309,12 +312,21 @@ class DynamicIndex {
   void AbandonMergeLocked() MBI_REQUIRES(mu_);
   void UpdateGaugesLocked() MBI_REQUIRES(mu_);
 
-  /// One component's contribution to the fan-out. Returns entries charged
-  /// (in the component path's unit) so the caller can split max_entries.
+  /// Inserts `component` at its place in the fan-out order: largest first,
+  /// equal sizes by smallest gid. Every publish (spill, merge, load) goes
+  /// through here, so queries visit components in that order unsorted.
+  static void InsertInFanOutOrder(
+      std::shared_ptr<const DynComponent> component,
+      std::vector<std::shared_ptr<const DynComponent>>* components);
+
+  /// One component's contribution to the fan-out, pruned against `floor`
+  /// (the merger's running k-th best; the quarantined scan path ignores
+  /// it). Returns entries charged (in the component path's unit) so the
+  /// caller can split max_entries.
   uint64_t QueryComponent(const DynComponent& component,
                           const Transaction& target,
                           const SimilarityFamily& family, size_t k_component,
-                          const SearchOptions& options,
+                          const SearchOptions& options, double floor,
                           DynQueryContext* context) const;
 
   const size_t universe_size_;

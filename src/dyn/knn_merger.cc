@@ -1,41 +1,43 @@
 #include "dyn/knn_merger.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace mbi {
 
 void KnnMerger::Reset(size_t k) {
   k_ = k;
-  candidates_.clear();
+  heap_.clear();
   stats_ = QueryStats{};
 }
 
 void KnnMerger::AddComponent(const NearestNeighborResult& component) {
-  candidates_.insert(candidates_.end(), component.neighbors.begin(),
-                     component.neighbors.end());
+  for (const Neighbor& neighbor : component.neighbors) {
+    OfferToTopK(neighbor, k_, &heap_);
+  }
   MergeQueryStats(component.stats, &stats_);
 }
 
 void KnnMerger::AddCandidate(TransactionId gid, double similarity) {
-  candidates_.push_back({gid, similarity});
+  OfferToTopK({gid, similarity}, k_, &heap_);
 }
 
 void KnnMerger::AddStats(const QueryStats& stats) {
   MergeQueryStats(stats, &stats_);
 }
 
+double KnnMerger::Threshold() const {
+  return !heap_.empty() && heap_.size() == k_
+             ? heap_.front().similarity
+             : -std::numeric_limits<double>::infinity();
+}
+
 void KnnMerger::Finish(NearestNeighborResult* result) {
-  std::sort(candidates_.begin(), candidates_.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
-  if (candidates_.size() > k_) candidates_.resize(k_);
-  result->neighbors.assign(candidates_.begin(), candidates_.end());
-  result->trace.clear();
   result->stats = stats_;
+  result->stats.is_exact = stats_.certificate_bound <= Threshold();
+  std::sort(heap_.begin(), heap_.end(), BestFirst());
+  result->neighbors.assign(heap_.begin(), heap_.end());
+  result->trace.clear();
 }
 
 }  // namespace mbi

@@ -10,27 +10,37 @@
 
 namespace mbi {
 
-/// Combines per-component top-k results into one answer under the paper's
-/// optimistic-bound semantics (DESIGN.md §13.3). Reusable: one merger per
-/// DynQueryContext, Reset() per query, scratch vectors keep their capacity.
+/// Combines the dyn fan-out's per-part answers into one top-k under the
+/// paper's optimistic-bound semantics (DESIGN.md §13.3), and lends the
+/// fan-out its running k-th best as the next part's pruning floor.
+/// Reusable: one merger per DynQueryContext, Reset() per query; the k-heap
+/// keeps its capacity.
 ///
 /// Soundness of the merge (the invariants dyn_differential_test gates):
 ///
-///  * Every part returns its k best *live* rows: components and the buffer
-///    skip delete-marked rows before top-k insertion (txn/delete_mask.h),
-///    so a component asked for min(k, |component|) neighbours already
-///    holds every live row of its share of the global top-k. Nothing is
-///    filtered here, and no over-fetch is needed.
-///  * `certificate_bound` merges as MAX over components (MergeQueryStats):
-///    the combined bound must dominate every component's unexplored region;
-///    last-writer or sum would be unsound.
-///  * `is_exact` merges as AND; `termination` as most-severe.
-///  * Global ids are unique across components (a row lives in exactly one
+///  * The merger holds a bounded k-heap ordered by BestFirst (similarity
+///    desc, gid asc), so its top k equals sort-then-truncate over every row
+///    ever offered. Parts skip delete-marked rows before their own top-k
+///    (txn/delete_mask.h), so nothing is filtered here.
+///  * A part searched with `floor = Threshold()` prunes entries that cannot
+///    beat the k rows already held, so it returns only rows that can still
+///    enter the top k — possibly fewer than k. Every row a part evaluated
+///    but did not return is beaten by k rows it did return.
+///  * Certificate over the union (§4.2): `certificate_bound` merges as MAX
+///    over parts (MergeQueryStats) and bounds every row no part evaluated;
+///    the answer is exact iff that bound cannot beat the merged k-th best
+///    (`Threshold()`). This replaces an AND over per-part certificates and
+///    is never weaker than it: a part certified against its own k-th best
+///    or its floor is certified against the merged k-th best, which is at
+///    least both.
+///  * `termination` merges as most-severe; counters sum.
+///  * Global ids are unique across parts (a row lives in exactly one
 ///    component or the buffer), so the merge needs no dedup.
-///  * Cutoff ties: the final sort is (similarity desc, gid asc), so the
-///    *merge* is deterministic; within a component the usual caveat stands
-///    (NearestNeighborResult::neighbors) — tie-group ids at a component's
-///    k-th similarity are unspecified, values are exact.
+///  * Cutoff ties: the k-th similarity value is exact, but a part may prune
+///    an entry whose bound equals the floor, so which ids represent the tie
+///    group at the k-th similarity is unspecified
+///    (NearestNeighborResult::neighbors); the returned ids are in
+///    (similarity desc, gid asc) order.
 class KnnMerger {
  public:
   /// Starts a new merge for a top-`k` query.
@@ -48,16 +58,21 @@ class KnnMerger {
   /// its best-possible score must still be dominated by the certificate.
   void AddStats(const QueryStats& stats);
 
-  /// Sorts, truncates to k, and fills `*result` (neighbors + merged stats +
-  /// certificate fields). The merger can be Reset() and reused afterwards.
+  /// The k-th best similarity held once k rows are, -inf before that: the
+  /// floor the next part's branch and bound prunes against.
+  double Threshold() const;
+
+  /// Fills `*result` with the top k best first, the merged stats, and the
+  /// union certificate. The merger can be Reset() and reused afterwards.
   void Finish(NearestNeighborResult* result);
 
-  /// Rows folded so far (for tests).
-  size_t candidate_count() const { return candidates_.size(); }
+  /// Rows held (at most k; for tests).
+  size_t candidate_count() const { return heap_.size(); }
 
  private:
   size_t k_ = 0;
-  std::vector<Neighbor> candidates_;
+  /// BestFirst heap: the worst held row at the front.
+  std::vector<Neighbor> heap_;
   QueryStats stats_;
 };
 

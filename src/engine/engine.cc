@@ -1,9 +1,11 @@
 #include "engine/engine.h"
 
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/batch_query.h"
+#include "util/deadline_clock.h"
 
 namespace mbi {
 
@@ -136,18 +138,16 @@ void SignatureTableEngine::RecordQuery(const QueryStats& stats, bool is_range,
       ->Record(elapsed_us);
 }
 
-NearestNeighborResult SignatureTableEngine::SequentialKNearest(
+void SignatureTableEngine::SequentialKNearest(
     const Transaction& target, const SimilarityFamily& family, size_t k,
-    const QueryBudget& budget) const {
+    const QueryBudget& budget, NearestNeighborResult* result) const {
   fallback_queries_.fetch_add(1, std::memory_order_relaxed);
   // The budget-aware scanner fills the complete QueryStats — including the
   // termination / is_exact / certificate_bound trio, which an earlier
   // version of this path silently dropped by rebuilding the stats by hand
   // (query_budget_test pins the regression).
-  NearestNeighborResult result;
-  scanner_.FindKNearest(target, family, k, budget, &result);
-  result.stats.sequential_fallbacks = 1;
-  return result;
+  scanner_.FindKNearest(target, family, k, budget, result);
+  result->stats.sequential_fallbacks = 1;
 }
 
 RangeQueryResult SignatureTableEngine::SequentialInRange(
@@ -160,35 +160,34 @@ RangeQueryResult SignatureTableEngine::SequentialInRange(
   return result;
 }
 
-NearestNeighborResult SignatureTableEngine::FindKNearestImpl(
-    const Transaction& target, const SimilarityFamily& family, size_t k,
-    const SearchOptions& options, QueryContext* context) const {
-  if (!healthy()) {
+void SignatureTableEngine::FindKNearest(const Transaction& target,
+                                        const SimilarityFamily& family,
+                                        size_t k, const SearchOptions& options,
+                                        QueryContext* context,
+                                        NearestNeighborResult* result) const {
+  MBI_CHECK(context != nullptr && result != nullptr);
+  // Disabled metrics skip even the clock reads.
+  const double start_us = metrics_enabled_ ? SteadyNowUs() : 0.0;
+  if (healthy()) {
+    engine_->FindKNearest(target, family, k, options, context, result);
+  } else {
     // Same tightest-wins budget merge the branch-and-bound path applies.
-    return SequentialKNearest(
-        target, family, k,
-        context != nullptr
-            ? QueryBudget::Tightest(options.budget, context->budget())
-            : options.budget);
+    SequentialKNearest(target, family, k,
+                       QueryBudget::Tightest(options.budget, context->budget()),
+                       result);
   }
-  if (context != nullptr) {
-    NearestNeighborResult result;
-    engine_->FindKNearest(target, family, k, options, context, &result);
-    return result;
+  if (metrics_enabled_) {
+    RecordQuery(result->stats, /*is_range=*/false, SteadyNowUs() - start_us);
   }
-  return engine_->FindKNearest(target, family, k, options);
 }
 
 NearestNeighborResult SignatureTableEngine::FindKNearest(
     const Transaction& target, const SimilarityFamily& family, size_t k,
     const SearchOptions& options, QueryContext* context) const {
-  if (!metrics_enabled_) {
-    return FindKNearestImpl(target, family, k, options, context);
-  }
-  ScopedTimer timer(nullptr);
-  NearestNeighborResult result =
-      FindKNearestImpl(target, family, k, options, context);
-  RecordQuery(result.stats, /*is_range=*/false, timer.ElapsedUs());
+  std::optional<QueryContext> fresh;
+  if (context == nullptr) context = &fresh.emplace();
+  NearestNeighborResult result;
+  FindKNearest(target, family, k, options, context, &result);
   return result;
 }
 
@@ -225,9 +224,9 @@ std::vector<NearestNeighborResult> SignatureTableEngine::FindKNearestBatch(
     // Degraded mode: answer each target exactly via the scanner. Parallelism
     // is not worth preserving here — the whole mode exists to limp along
     // until the index is rebuilt.
-    results.reserve(targets.size());
-    for (const Transaction& target : targets) {
-      results.push_back(SequentialKNearest(target, family, k, options.budget));
+    results.resize(targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      SequentialKNearest(targets[i], family, k, options.budget, &results[i]);
     }
   }
   if (metrics_enabled_) {

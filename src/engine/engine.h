@@ -81,6 +81,16 @@ class SignatureTableEngine {
   /// the scanner's full QueryStats — termination, is_exact, and
   /// certificate_bound included — so a degraded fallback answer carries the
   /// same certificate a degraded indexed answer would.
+  ///
+  /// The answer is written into `*result` (cleared first, capacity kept),
+  /// so a warm (context, result) pair makes repeat healthy queries allocate
+  /// nothing, as BranchAndBoundEngine's result-out form does.
+  void FindKNearest(const Transaction& target, const SimilarityFamily& family,
+                    size_t k, const SearchOptions& options,
+                    QueryContext* context,
+                    NearestNeighborResult* result) const;
+
+  /// Returning form; a null `context` uses a fresh one.
   NearestNeighborResult FindKNearest(const Transaction& target,
                                      const SimilarityFamily& family, size_t k,
                                      const SearchOptions& options = {},
@@ -157,18 +167,14 @@ class SignatureTableEngine {
     Counter* cancelled = nullptr;
   };
 
-  NearestNeighborResult SequentialKNearest(const Transaction& target,
-                                           const SimilarityFamily& family,
-                                           size_t k,
-                                           const QueryBudget& budget) const;
+  void SequentialKNearest(const Transaction& target,
+                          const SimilarityFamily& family, size_t k,
+                          const QueryBudget& budget,
+                          NearestNeighborResult* result) const;
   RangeQueryResult SequentialInRange(const Transaction& target,
                                      const SimilarityFamily& family,
                                      double threshold,
                                      const QueryBudget& budget) const;
-  NearestNeighborResult FindKNearestImpl(const Transaction& target,
-                                         const SimilarityFamily& family,
-                                         size_t k, const SearchOptions& options,
-                                         QueryContext* context) const;
   RangeQueryResult FindInRangeImpl(const Transaction& target,
                                    const SimilarityFamily& family,
                                    double threshold,

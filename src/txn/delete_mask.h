@@ -21,7 +21,8 @@ namespace mbi {
 /// answer — it only decides whether that one row is returned.
 class DeleteMask {
  public:
-  explicit DeleteMask(size_t num_rows) : words_((num_rows + 63) / 64) {}
+  explicit DeleteMask(size_t num_rows)
+      : num_rows_(num_rows), words_((num_rows + 63) / 64) {}
 
   DeleteMask(const DeleteMask&) = delete;
   DeleteMask& operator=(const DeleteMask&) = delete;
@@ -29,8 +30,18 @@ class DeleteMask {
   /// Marks `row` dead; false when it already was.
   bool Mark(size_t row) {
     const uint64_t bit = uint64_t{1} << (row % 64);
-    return (words_[row / 64].fetch_or(bit, std::memory_order_relaxed) &
-            bit) == 0;
+    const bool fresh =
+        (words_[row / 64].fetch_or(bit, std::memory_order_relaxed) & bit) ==
+        0;
+    if (fresh) marked_.fetch_add(1, std::memory_order_relaxed);
+    return fresh;
+  }
+
+  /// True when no row is live, in O(1). Read lock-free like the marks: a
+  /// reader that sees the last mark's count treats every row as dead, which
+  /// a delete racing the query is allowed to decide either way.
+  bool AllMarked() const {
+    return marked_.load(std::memory_order_relaxed) == num_rows_;
   }
 
   bool IsMarked(size_t row) const {
@@ -38,7 +49,7 @@ class DeleteMask {
             1u) != 0;
   }
 
-  /// Number of marked rows.
+  /// Number of marked rows, recounted from the bits.
   size_t Count() const {
     size_t count = 0;
     for (const auto& word : words_) {
@@ -60,7 +71,9 @@ class DeleteMask {
   }
 
  private:
+  size_t num_rows_;
   std::vector<std::atomic<uint64_t>> words_;
+  std::atomic<size_t> marked_{0};
 };
 
 }  // namespace mbi

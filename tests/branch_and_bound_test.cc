@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "baseline/sequential_scan.h"
@@ -226,6 +227,116 @@ TEST(BranchAndBoundTest, FullAccessFractionAlwaysExact) {
   auto result = engine.FindKNearest(fixture.queries[0], family, 1, options);
   EXPECT_TRUE(result.stats.is_exact);
   EXPECT_EQ(result.stats.entries_unexplored, 0u);
+}
+
+// --- Caller floor (the dyn fan-out's shared threshold) ---
+
+TEST(FloorTest, PrunesEveryEntryBoundedAtOrBelowTheFloor) {
+  Fixture fixture = MakeFixture(41, 9, 1, 2000);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  InverseHammingFamily family;
+  QueryContext context;
+  NearestNeighborResult plain;
+  NearestNeighborResult floored;
+  SearchOptions options;
+  options.collect_trace = true;
+  for (const Transaction& target : fixture.queries) {
+    engine.FindKNearest(target, family, 3, options, &context, &plain);
+    ASSERT_FALSE(plain.trace.empty());
+    // A floor at the bound of the middle entry in visit order.
+    const double floor = plain.trace[plain.trace.size() / 2].optimistic_bound;
+    engine.FindKNearest(target, family, 3, options, &context, &floored, floor);
+    uint64_t scanned = 0;
+    for (const EntryTrace& entry : floored.trace) {
+      EXPECT_GE(entry.pessimistic_bound, floor);
+      if (entry.action != EntryTrace::Action::kScanned) continue;
+      ++scanned;
+      EXPECT_GT(entry.optimistic_bound, floor);
+    }
+    EXPECT_EQ(scanned, floored.stats.entries_scanned);
+    EXPECT_LE(floored.stats.transactions_evaluated,
+              plain.stats.transactions_evaluated);
+    // Every row of the plain top k above the floor is still found.
+    for (size_t i = 0; i < plain.neighbors.size(); ++i) {
+      if (plain.neighbors[i].similarity <= floor) break;
+      ASSERT_LT(i, floored.neighbors.size());
+      EXPECT_EQ(floored.neighbors[i].similarity, plain.neighbors[i].similarity);
+    }
+    EXPECT_TRUE(floored.stats.is_exact);
+
+    // A floor at the best bound prunes the whole directory.
+    const double best = plain.trace.front().optimistic_bound;
+    engine.FindKNearest(target, family, 3, options, &context, &floored, best);
+    EXPECT_EQ(floored.stats.entries_scanned, 0u);
+    EXPECT_EQ(floored.stats.entries_pruned, floored.stats.entries_total);
+    EXPECT_TRUE(floored.neighbors.empty());
+    EXPECT_TRUE(floored.stats.is_exact);
+    EXPECT_EQ(floored.stats.certificate_bound, best);
+  }
+}
+
+TEST(FloorTest, CertificateIsJudgedAgainstTheFloorOrTheKthBest) {
+  Fixture fixture = MakeFixture(43, 10, 1, 5000);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  MatchRatioFamily family;
+  SearchOptions options;
+  options.max_access_fraction = 0.01;
+  QueryContext context;
+  NearestNeighborResult cut;
+  NearestNeighborResult floored;
+  size_t certified_by_floor = 0;
+  size_t not_certified = 0;
+  for (const Transaction& target : fixture.queries) {
+    engine.FindKNearest(target, family, 2, options, &context, &cut);
+    if (cut.stats.is_exact || cut.neighbors.size() < 2) continue;
+    const double kth = cut.neighbors.back().similarity;
+    ASSERT_GT(cut.stats.certificate_bound, kth);
+
+    // Floor at the cut search's certificate bound: the floor covers every
+    // entry the search leaves behind, so the answer is certified although
+    // its own k-th best is not.
+    const double high = cut.stats.certificate_bound;
+    engine.FindKNearest(target, family, 2, options, &context, &floored, high);
+    EXPECT_LE(floored.stats.certificate_bound, high);
+    EXPECT_TRUE(floored.stats.is_exact);
+    if (floored.neighbors.size() == 2 &&
+        floored.stats.certificate_bound > floored.neighbors.back().similarity) {
+      ++certified_by_floor;
+    }
+
+    // Floor at the cut search's k-th best: no higher than its own k-th, so
+    // the certificate stays where it was and is not met.
+    engine.FindKNearest(target, family, 2, options, &context, &floored, kth);
+    EXPECT_EQ(floored.stats.certificate_bound, cut.stats.certificate_bound);
+    EXPECT_FALSE(floored.stats.is_exact);
+    ++not_certified;
+  }
+  EXPECT_GT(certified_by_floor, 0u);
+  EXPECT_GT(not_certified, 0u);
+}
+
+TEST(FloorTest, MinusInfinityFloorIsThePlainSearch) {
+  Fixture fixture = MakeFixture(47, 9);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  CosineFamily family;
+  QueryContext context;
+  NearestNeighborResult floored;
+  SearchOptions options;
+  options.max_access_fraction = 0.2;
+  for (const Transaction& target : fixture.queries) {
+    const NearestNeighborResult plain =
+        engine.FindKNearest(target, family, 4, options);
+    engine.FindKNearest(target, family, 4, options, &context, &floored,
+                        -std::numeric_limits<double>::infinity());
+    ASSERT_EQ(plain.neighbors.size(), floored.neighbors.size());
+    for (size_t i = 0; i < plain.neighbors.size(); ++i) {
+      EXPECT_EQ(plain.neighbors[i].id, floored.neighbors[i].id);
+      EXPECT_EQ(plain.neighbors[i].similarity, floored.neighbors[i].similarity);
+    }
+    EXPECT_EQ(plain.stats.entries_scanned, floored.stats.entries_scanned);
+    EXPECT_EQ(plain.stats.is_exact, floored.stats.is_exact);
+    EXPECT_EQ(plain.stats.certificate_bound, floored.stats.certificate_bound);
+  }
 }
 
 // --- Multi-target queries (paper §4.3) ---

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "baseline/sequential_scan.h"
+#include "core/index_builder.h"
 #include "core/similarity.h"
 #include "dyn/dynamic_index.h"
 #include "gen/quest_generator.h"
@@ -241,6 +242,99 @@ TEST(DynDifferentialTest, CutoffTiesSpanningComponents) {
   ExpectMatchesOracle(workload, oracle, base[0], family, 5);
   const InverseHammingFamily hamming;
   ExpectMatchesOracle(workload, oracle, base[2], hamming, 7);
+  // Components are visited largest-first, each pruned against the k-th best
+  // merged so far, so once the heap holds k duplicates the later components
+  // prune against a floor equal to the tie value: sweep k across the
+  // duplicate group and past it.
+  for (size_t k = 1; k <= 12; ++k) {
+    ExpectMatchesOracle(workload, oracle, base[2], hamming, k);
+    ExpectMatchesOracle(workload, oracle, base[4], family, k);
+  }
+}
+
+TEST(DynDifferentialTest, ComponentBoundedByTheFloorScansNoEntry) {
+  // k exact copies of the target wait in the buffer, which is scanned
+  // first: the floor is then f(|target|, 0), which dominates every entry's
+  // optimistic bound, so every component prunes all of its entries.
+  Workload workload = BuildWorkload(/*seed=*/1008, /*num_rows=*/96,
+                                    /*buffer_capacity=*/32, /*fanout=*/8,
+                                    /*delete_every_nth=*/0);
+  QuestGeneratorConfig config;
+  config.universe_size = 120;
+  config.seed = 9008;
+  QuestGenerator generator(config);
+  Transaction target = generator.NextTransaction();
+  while (target.empty()) target = generator.NextTransaction();
+  constexpr size_t kK = 3;
+  for (size_t i = 0; i < kK; ++i) {
+    auto gid = workload.index->Insert(target);
+    ASSERT_TRUE(gid.ok());
+    workload.rows.emplace(gid.value(), target);
+  }
+  ASSERT_EQ(workload.index->num_components(), 3u);
+  ASSERT_EQ(workload.index->buffered_rows(), kK);
+
+  Oracle oracle = workload.MakeOracle(120);
+  const InverseHammingFamily hamming;
+  const MatchRatioFamily match_ratio;
+  const CosineFamily cosine;
+  const JaccardFamily jaccard;
+  const SimilarityFamily* families[] = {&hamming, &match_ratio, &cosine,
+                                        &jaccard};
+  for (const SimilarityFamily* family : families) {
+    ExpectMatchesOracle(workload, oracle, target, *family, kK);
+    const NearestNeighborResult result =
+        workload.index->FindKNearest(target, *family, kK);
+    // Only the buffer's rows were scanned and scored.
+    EXPECT_EQ(result.stats.entries_scanned, kK);
+    EXPECT_EQ(result.stats.transactions_evaluated, kK);
+    EXPECT_EQ(result.stats.entries_pruned + kK, result.stats.entries_total);
+    EXPECT_TRUE(result.stats.is_exact);
+  }
+}
+
+TEST(DynDifferentialTest, FullyDeletedComponentIsNotSearched) {
+  // Two equal level-0 components; the one visited first (smaller gids) has
+  // every row deleted. It must add no work: the answer and every counter
+  // equal those of an index holding only the other component's rows.
+  Workload dead = BuildWorkload(/*seed=*/1007, /*num_rows=*/32,
+                                /*buffer_capacity=*/16, /*fanout=*/8,
+                                /*delete_every_nth=*/0);
+  DynamicIndex twin(120, dead.index->options());
+  for (const auto& [gid, txn] : dead.rows) {
+    if (gid < 16) {
+      ASSERT_TRUE(dead.index->Delete(gid).ok());
+      dead.deleted.insert(gid);
+    } else {
+      ASSERT_TRUE(twin.Insert(txn).ok());
+    }
+  }
+  ASSERT_EQ(dead.index->num_components(), 2u);
+  ASSERT_EQ(twin.num_components(), 1u);
+  QuestGeneratorConfig config;
+  config.universe_size = 120;
+  config.seed = 9007;
+  QuestGenerator generator(config);
+
+  Oracle oracle = dead.MakeOracle(120);
+  const InverseHammingFamily hamming;
+  const CosineFamily cosine;
+  for (int q = 0; q < 6; ++q) {
+    const Transaction target = generator.NextTransaction();
+    const SimilarityFamily* families[] = {&hamming, &cosine};
+    for (const SimilarityFamily* family : families) {
+      for (size_t k : {1u, 5u, 40u}) {
+        ExpectMatchesOracle(dead, oracle, target, *family, k);
+        const QueryStats got =
+            dead.index->FindKNearest(target, *family, k).stats;
+        const QueryStats want = twin.FindKNearest(target, *family, k).stats;
+        EXPECT_EQ(got.entries_total, want.entries_total);
+        EXPECT_EQ(got.entries_scanned, want.entries_scanned);
+        EXPECT_EQ(got.transactions_evaluated, want.transactions_evaluated);
+        EXPECT_EQ(got.io.transactions_fetched, want.io.transactions_fetched);
+      }
+    }
+  }
 }
 
 TEST(DynDifferentialTest, EveryKernelIsaAgrees) {
@@ -400,6 +494,74 @@ SweepCounts RunDeletedFractionSweep(bool oldest_first) {
                 counts.mean_evaluated.back(), counts.mean_fetched.back());
   }
   return counts;
+}
+
+TEST(DynDifferentialTest, SharedFloorKeepsFanOutRowsNearOneTable) {
+  // In-distribution targets (later rows of the inserted stream) on a
+  // paper-shaped stream: the fan-out scores rows in every component, and
+  // one pruning threshold shared across them keeps that near what one table
+  // over the same rows scores (about 1.5x here); components pruned only
+  // against their own k-th best score about 2.4x. A count, not a time.
+  constexpr size_t kRows = 30'000;
+  constexpr size_t kTargets = 120;
+  constexpr size_t kK = 10;
+  constexpr uint32_t kUniverse = 1000;
+  QuestGeneratorConfig config;
+  config.universe_size = kUniverse;
+  config.num_large_itemsets = 2000;
+  config.avg_itemset_size = 6.0;
+  config.avg_transaction_size = 10.0;
+  config.seed = 12003;
+  QuestGenerator generator(config);
+
+  DynamicIndexOptions options;
+  options.buffer_capacity = 1024;
+  options.level_fanout = 4;
+  options.build.clustering.target_cardinality = 15;
+  DynamicIndex index(kUniverse, options);
+  TransactionDatabase all(kUniverse);
+  for (size_t i = 0; i < kRows; ++i) {
+    const Transaction txn = generator.NextTransaction();
+    ASSERT_TRUE(index.Insert(txn).ok());
+    all.Add(txn);
+  }
+  ASSERT_GE(index.num_components(), 3u);
+  std::vector<Transaction> targets;
+  for (size_t t = 0; t < kTargets; ++t) {
+    targets.push_back(generator.NextTransaction());
+  }
+  const SignatureTable table = BuildIndex(all, options.build);
+  const BranchAndBoundEngine single(&all, &table);
+
+  const InverseHammingFamily hamming;
+  const MatchRatioFamily match_ratio;
+  const CosineFamily cosine;
+  const SimilarityFamily* families[] = {&hamming, &match_ratio, &cosine};
+  double fanout_rows = 0.0;
+  double single_rows = 0.0;
+  DynQueryContext context;
+  NearestNeighborResult result;
+  for (size_t t = 0; t < kTargets; ++t) {
+    const SimilarityFamily& family = *families[t % 3];
+    index.FindKNearest(targets[t], family, kK, SearchOptions{}, &context,
+                       &result);
+    ASSERT_TRUE(result.stats.is_exact);
+    fanout_rows += static_cast<double>(result.stats.transactions_evaluated);
+    const NearestNeighborResult one = single.FindKNearest(targets[t], family,
+                                                          kK);
+    single_rows += static_cast<double>(one.stats.transactions_evaluated);
+    ASSERT_EQ(result.neighbors.size(), one.neighbors.size());
+    for (size_t i = 0; i < one.neighbors.size(); ++i) {
+      ASSERT_TRUE(SameSimilarity(result.neighbors[i].similarity,
+                                 one.neighbors[i].similarity))
+          << "target " << t << " position " << i;
+    }
+  }
+  std::printf("%zu components: fan-out scores %.0f rows per query, one table "
+              "%.0f\n",
+              index.num_components(), fanout_rows / kTargets,
+              single_rows / kTargets);
+  EXPECT_LE(fanout_rows, 1.75 * single_rows);
 }
 
 TEST(DynDifferentialTest, DeletedFractionSweepStaysExactAndPrunes) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -24,6 +25,7 @@
 #include "gen/quest_generator.h"
 #include "storage/env.h"
 #include "util/mutex.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace mbi {
@@ -582,8 +584,8 @@ TEST(DynIoTest, CorruptRowsFailTheLoad) {
 }
 
 TEST(KnnMergerTest, MergesEveryPathByValueThenGid) {
-  // Parts hand in live rows only (deleted rows never leave a part), so the
-  // merger keeps every candidate from every path and just ranks them.
+  // Parts hand in live rows only (deleted rows never leave a part); the
+  // merger ranks every path's rows together and holds only the best k.
   KnnMerger merger;
   merger.Reset(3);
   NearestNeighborResult component;
@@ -592,7 +594,7 @@ TEST(KnnMergerTest, MergesEveryPathByValueThenGid) {
   merger.AddComponent(component);
   merger.AddCandidate(9, 1.0);  // Buffer rows.
   merger.AddCandidate(3, 0.9);
-  EXPECT_EQ(merger.candidate_count(), 5u);
+  EXPECT_EQ(merger.candidate_count(), 3u);
   NearestNeighborResult merged;
   merger.Finish(&merged);
   ASSERT_EQ(merged.neighbors.size(), 3u);
@@ -620,6 +622,94 @@ TEST(KnnMergerTest, CertificateAndExactnessFollowTheMergeRules) {
   EXPECT_FALSE(merged.stats.is_exact);
   EXPECT_EQ(merged.stats.certificate_bound, 0.75);
   EXPECT_EQ(merged.stats.termination, QueryTermination::kEntryBudget);
+}
+
+TEST(KnnMergerTest, ThresholdIsTheKthBestOnceKRowsAreHeld) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  KnnMerger merger;
+  merger.Reset(3);
+  EXPECT_EQ(merger.Threshold(), kNegInf);
+  merger.AddCandidate(4, 0.5);
+  merger.AddCandidate(7, 0.9);
+  EXPECT_EQ(merger.Threshold(), kNegInf);  // Two rows held, k = 3.
+  merger.AddCandidate(2, 0.6);
+  EXPECT_EQ(merger.Threshold(), 0.5);
+  merger.AddCandidate(8, 0.4);  // Worse than the k-th: not held.
+  EXPECT_EQ(merger.Threshold(), 0.5);
+  NearestNeighborResult better;
+  better.neighbors = {{1, 0.95}, {3, 0.7}};
+  merger.AddComponent(better);
+  EXPECT_EQ(merger.Threshold(), 0.7);
+  EXPECT_EQ(merger.candidate_count(), 3u);
+  merger.Reset(2);
+  EXPECT_EQ(merger.Threshold(), kNegInf);
+}
+
+TEST(KnnMergerTest, UnionCertificateJudgesEveryPartByTheMergedKthBest) {
+  // A part cut short by its budget is certified by the merged k-th best
+  // when its certificate bound cannot beat it ...
+  KnnMerger merger;
+  merger.Reset(2);
+  NearestNeighborResult first;
+  first.neighbors = {{1, 0.9}, {2, 0.8}};
+  merger.AddComponent(first);
+  NearestNeighborResult cut;
+  cut.neighbors = {{5, 0.3}};
+  cut.stats.is_exact = false;
+  cut.stats.certificate_bound = 0.8;
+  cut.stats.termination = QueryTermination::kAccessFraction;
+  merger.AddComponent(cut);
+  NearestNeighborResult merged;
+  merger.Finish(&merged);
+  EXPECT_TRUE(merged.stats.is_exact);
+  EXPECT_EQ(merged.stats.certificate_bound, 0.8);
+  EXPECT_EQ(merged.stats.termination, QueryTermination::kAccessFraction);
+
+  // ... and not when some unevaluated row could still beat it.
+  merger.Reset(2);
+  merger.AddComponent(first);
+  cut.stats.certificate_bound = 0.85;
+  merger.AddComponent(cut);
+  merger.Finish(&merged);
+  EXPECT_FALSE(merged.stats.is_exact);
+  EXPECT_EQ(merged.stats.certificate_bound, 0.85);
+}
+
+TEST(KnnMergerTest, BoundedHeapEqualsSortThenTruncate) {
+  Rng rng(4242);
+  for (const size_t k : {1u, 2u, 5u, 17u, 64u}) {
+    KnnMerger merger;
+    merger.Reset(k);
+    std::vector<Neighbor> all;
+    TransactionId next_id = 0;
+    for (int part = 0; part < 6; ++part) {
+      NearestNeighborResult component;
+      const size_t rows = rng.UniformUint64(20);
+      for (size_t i = 0; i < rows; ++i) {
+        // Few distinct values, so ties at the cutoff are common; ids are
+        // handed out in no particular order.
+        const Neighbor row{next_id++ * 7919u % 1000u,
+                           static_cast<double>(rng.UniformUint64(5)) / 4.0};
+        component.neighbors.push_back(row);
+        all.push_back(row);
+      }
+      merger.AddComponent(component);
+      const Neighbor buffered{next_id++ * 7919u % 1000u,
+                              static_cast<double>(rng.UniformUint64(5)) / 4.0};
+      merger.AddCandidate(buffered.id, buffered.similarity);
+      all.push_back(buffered);
+    }
+    std::sort(all.begin(), all.end(), BestFirst());
+    if (all.size() > k) all.resize(k);
+    NearestNeighborResult merged;
+    merger.Finish(&merged);
+    ASSERT_EQ(merged.neighbors.size(), all.size()) << "k=" << k;
+    for (size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(merged.neighbors[i].id, all[i].id) << "k=" << k;
+      EXPECT_EQ(merged.neighbors[i].similarity, all[i].similarity)
+          << "k=" << k;
+    }
+  }
 }
 
 }  // namespace

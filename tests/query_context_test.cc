@@ -23,6 +23,7 @@
 #include "core/index_builder.h"
 #include "core/query_context.h"
 #include "core/supercoordinate.h"
+#include "engine/engine.h"
 #include "gen/quest_generator.h"
 #include "reference_knn.h"
 #include "util/alloc_guard.h"
@@ -296,6 +297,42 @@ TEST(QueryContextTest, SteadyStateQueriesDoNotAllocate) {
   NearestNeighborResult fresh =
       engine.FindKNearest(fixture.queries[0], *hamming, 5, options);
   ExpectSameResult(result, fresh, "after banned passes");
+}
+
+/// The engine front door (SignatureTableEngine, the layer the CLI's
+/// `query --repeat` drives) has the same steady state: a warm engine,
+/// context and result answer repeat queries without allocating.
+TEST(QueryContextTest, WarmEngineFrontDoorDoesNotAllocate) {
+  Fixture fixture = MakeFixture(607, 9, 1000, 8);
+  SignatureTableEngine engine(&fixture.db);
+  engine.AdoptTable(std::move(fixture.table));
+  ASSERT_TRUE(engine.healthy());
+  auto hamming = MakeSimilarityFamily("hamming");
+  SearchOptions options;
+  options.max_access_fraction = 0.5;
+
+  QueryContext context;
+  NearestNeighborResult result;
+  auto run_pass = [&] {
+    for (const Transaction& target : fixture.queries) {
+      engine.FindKNearest(target, *hamming, 5, options, &context, &result);
+    }
+  };
+  run_pass();
+  run_pass();
+
+  const uint64_t before = AllocGuardViolations();
+  {
+    ScopedAllocationBan ban("warm SignatureTableEngine::FindKNearest");
+    run_pass();
+  }
+  EXPECT_EQ(AllocGuardViolations(), before)
+      << "warm engine front door allocated; AllocGuardEnabled()="
+      << AllocGuardEnabled();
+
+  NearestNeighborResult fresh =
+      engine.FindKNearest(fixture.queries.back(), *hamming, 5, options);
+  ExpectSameResult(result, fresh, "engine front door after banned pass");
 }
 
 /// The ordering scratch is sized by entry count, never by how many distinct

@@ -215,8 +215,8 @@ int RunQuery(int argc, char** argv) {
       if (deadline_ms > 0.0) {
         options.budget = QueryBudget::WithDeadlineAfterMs(deadline_ms);
       }
-      result = engine.FindKNearest(target, *family, static_cast<size_t>(k),
-                                   options, &context);
+      engine.FindKNearest(target, *family, static_cast<size_t>(k), options,
+                          &context, &result);
     }
   }
   double per_query_ms = timer.ElapsedMillis() / static_cast<double>(repeat);
