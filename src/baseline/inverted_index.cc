@@ -225,8 +225,8 @@ void InvertedIndex::CheckInvariants() const {
     // Sequential layout: the page mapped to this transaction holds it.
     PageId page = sequential_store_.PageOfTransaction(id);
     MBI_CHECK_LT(page, sequential_store_.page_store().size());
-    const auto& ids =
-        sequential_store_.page_store().pages()[page].transaction_ids;
+    const std::span<const TransactionId> ids =
+        sequential_store_.page_store().IdsOnPage(page);
     MBI_CHECK_MSG(std::find(ids.begin(), ids.end(), id) != ids.end(),
                   "transaction not present on its mapped page");
   }

@@ -165,11 +165,22 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   // Entry ordering (paper §4): a stable counting sort over the query's few
   // distinct key values yields the visit order (key descending, index
   // ascending) — the order the frozen reference's full sort produces — in
-  // O(E + D log D), and the scan walks it with a cursor.
-  OrderByKeyDescending(keys.data(), num_entries, &ctx.order_scratch_,
-                       &ctx.entry_order_);
+  // O(E + D log D), and the scan walks it with a cursor. With a floor, an
+  // entry bounded at or below floor + gap is pruned wherever it is reached,
+  // so under the bound order those entries are left out of the order (they
+  // would all trail it) and settled in bulk from `below`; a trace still
+  // orders every entry so that it can record them in visit order.
+  const bool has_floor = floor > kNegInfinity;
+  const bool split_below_floor =
+      has_floor && options.sort_order == EntrySortOrder::kOptimisticBound &&
+      !options.collect_trace;
+  const KeysLeftOut below = OrderByKeyDescending(
+      keys.data(), num_entries, &ctx.order_scratch_, &ctx.entry_order_,
+      split_below_floor ? floor + options.optimality_gap : kNegInfinity);
   const std::vector<uint32_t>& order = ctx.entry_order_;
+  const size_t num_ordered = order.size();
   size_t cursor = 0;
+  size_t below_left = below.count;
 
   result.stats.database_size = database_->size();
   result.stats.entries_total = num_entries;
@@ -187,7 +198,6 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   // the bound in effect; with the default -inf it changes nothing.
   std::vector<Neighbor>& knn_heap = ctx.knn_heap_;
   knn_heap.clear();
-  const bool has_floor = floor > kNegInfinity;
   auto pessimistic = [&]() {
     return std::max(
         knn_heap.size() == k ? knn_heap.front().similarity : kNegInfinity,
@@ -238,7 +248,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   bool terminated_early = false;
   QueryTermination termination = QueryTermination::kCompleted;
   double max_pruned_bound = kNegInfinity;
-  while (cursor < num_entries) {
+  while (cursor < num_ordered || below_left > 0) {
     // Cooperative budget check, entry granularity. Guarded on at least one
     // scanned entry so a degraded answer always carries at least one real
     // candidate (an already-expired deadline still returns the best of the
@@ -264,6 +274,14 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
         break;
       }
     }
+    if (cursor == num_ordered) {
+      // Only the entries left out below the floor remain: the first of them
+      // in visit order would prune itself and the rest.
+      result.stats.entries_pruned += below_left;
+      max_pruned_bound = std::max(max_pruned_bound, below.max);
+      below_left = 0;
+      break;
+    }
     const uint32_t entry_index = order[cursor++];
     double optimistic = ctx.optimistic_[entry_index];
     if ((knn_heap.size() == k || has_floor) &&
@@ -272,29 +290,31 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
       record_trace(entry_index, EntryTrace::Action::kPruned);
       if (options.sort_order == EntrySortOrder::kOptimisticBound) {
         // Entries are visited in decreasing optimistic bound, so the whole
-        // tail is prunable too; it is only walked when a trace wants the
+        // tail is prunable too, the entries left out below the floor with
+        // it; the ordered tail is only walked when a trace wants the
         // per-entry records in visit order.
-        result.stats.entries_pruned += num_entries - cursor + 1;
+        result.stats.entries_pruned += num_ordered - cursor + 1 + below_left;
+        max_pruned_bound = std::max(max_pruned_bound, below.max);
         if (options.collect_trace) {
-          for (; cursor < num_entries; ++cursor) {
+          for (; cursor < num_ordered; ++cursor) {
             record_trace(order[cursor], EntryTrace::Action::kPruned);
           }
         }
-        cursor = num_entries;
+        cursor = num_ordered;
+        below_left = 0;
         break;
       }
       ++result.stats.entries_pruned;
       continue;
     }
     record_trace(entry_index, EntryTrace::Action::kScanned);
-    table_->FetchEntryTransactions(entry_index, &result.stats.io,
-                                   &ctx.candidate_ids_);
+    std::span<const TransactionId> ids =
+        table_->EntryTransactions(entry_index, &result.stats.io);
     ++result.stats.entries_scanned;
-    if (deleted_ != nullptr) DropDeleted(&ctx.candidate_ids_);
-    evaluate_candidates_batch(ctx.candidate_ids_.data(),
-                              ctx.candidate_ids_.size());
+    if (deleted_ != nullptr) ids = LiveIds(ids, &ctx.candidate_ids_);
+    evaluate_candidates_batch(ids.data(), ids.size());
     if (result.stats.transactions_evaluated >= budget &&
-        cursor < num_entries) {
+        (cursor < num_ordered || below_left > 0)) {
       terminated_early = true;
       termination = QueryTermination::kAccessFraction;
       break;
@@ -303,11 +323,13 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
 
   // Early-termination certificate (paper §4.2): the best similarity any
   // unexplored entry could still hold, a max over the unvisited tail of the
-  // order (which a trace records in visit order).
+  // order (which a trace records in visit order) and the entries left out
+  // below the floor.
   double unexplored_bound = kNegInfinity;
   if (terminated_early) {
-    result.stats.entries_unexplored = num_entries - cursor;
-    for (; cursor < num_entries; ++cursor) {
+    result.stats.entries_unexplored = num_ordered - cursor + below_left;
+    if (below_left > 0) unexplored_bound = below.max;
+    for (; cursor < num_ordered; ++cursor) {
       unexplored_bound =
           std::max(unexplored_bound, ctx.optimistic_[order[cursor]]);
       record_trace(order[cursor], EntryTrace::Action::kUnexplored);
@@ -328,13 +350,15 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   result.neighbors.assign(knn_heap.begin(), knn_heap.end());
 }
 
-MBI_HOT void BranchAndBoundEngine::DropDeleted(
-    std::vector<TransactionId>* ids) const {
+MBI_HOT std::span<const TransactionId> BranchAndBoundEngine::LiveIds(
+    std::span<const TransactionId> ids,
+    std::vector<TransactionId>* scratch) const {
+  scratch->resize(ids.size());
   size_t kept = 0;
-  for (const TransactionId id : *ids) {
-    if (!deleted_->IsMarked(id)) (*ids)[kept++] = id;
+  for (const TransactionId id : ids) {
+    if (!deleted_->IsMarked(id)) (*scratch)[kept++] = id;
   }
-  ids->erase(ids->begin() + static_cast<ptrdiff_t>(kept), ids->end());
+  return {scratch->data(), kept};
 }
 
 RangeQueryResult BranchAndBoundEngine::FindInRange(
@@ -382,7 +406,7 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   std::vector<int32_t> bound_dist(entries.size());
   calculator.ComputeBatch(table_->coordinates().data(), entries.size(),
                           bound_match.data(), bound_dist.data());
-  std::vector<TransactionId> ids;
+  std::vector<TransactionId> live_scratch;
   std::vector<uint32_t> match_scratch;
   std::vector<uint32_t> hamming_scratch;
   for (uint32_t i = 0; i < entries.size(); ++i) {
@@ -422,9 +446,10 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
       ++result.stats.entries_pruned;
       continue;
     }
-    table_->FetchEntryTransactions(i, &result.stats.io, &ids);
+    std::span<const TransactionId> ids =
+        table_->EntryTransactions(i, &result.stats.io);
     ++result.stats.entries_scanned;
-    if (deleted_ != nullptr) DropDeleted(&ids);
+    if (deleted_ != nullptr) ids = LiveIds(ids, &live_scratch);
     match_scratch.resize(ids.size());
     hamming_scratch.resize(ids.size());
     packed.MatchAndHammingBatch(ids.data(), ids.size(), match_scratch.data(),
@@ -471,9 +496,7 @@ void BranchAndBoundEngine::CheckBoundDominance(
     const SignatureTable::Entry& entry = table_->entries()[i];
     const double optimistic =
         calculator.OptimisticSimilarity(entry.coordinate, *similarity);
-    std::vector<TransactionId> ids =
-        table_->FetchEntryTransactions(i, /*stats=*/nullptr);
-    for (TransactionId id : ids) {
+    for (TransactionId id : table_->EntryTransactions(i, /*stats=*/nullptr)) {
       size_t match = 0;
       size_t hamming = 0;
       MatchAndHamming(target, database_->Get(id), &match, &hamming);

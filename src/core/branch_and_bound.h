@@ -256,9 +256,13 @@ class BranchAndBoundEngine {
                            const SimilarityFamily& family) const;
 
  private:
-  /// Removes rows marked in `deleted_` from one entry's candidate list, in
-  /// place (order kept, no allocation).
-  MBI_HOT void DropDeleted(std::vector<TransactionId>* ids) const;
+  /// The rows of one entry's candidate list not marked in `deleted_`, in
+  /// order: a filtered copy into `*scratch`, which the returned span views.
+  /// Only an engine with delete marks copies; a warm scratch allocates
+  /// nothing.
+  MBI_HOT std::span<const TransactionId> LiveIds(
+      std::span<const TransactionId> ids,
+      std::vector<TransactionId>* scratch) const;
 
   const TransactionDatabase* database_;
   const SignatureTable* table_;

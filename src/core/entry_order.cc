@@ -21,6 +21,9 @@ constexpr size_t kInitialSlots = 1024;
 /// doubles over the table.
 constexpr uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ull;
 
+/// key_ids value of a key left out by the cutoff (distinct ids are < n).
+constexpr uint32_t kLeftOut = std::numeric_limits<uint32_t>::max();
+
 /// Keys that compare equal get one bit pattern: -0.0 becomes 0.0 and every
 /// NaN one quiet NaN.
 double Canonical(double key) {
@@ -48,9 +51,10 @@ size_t FindSlot(const uint32_t* slots, const double* values, size_t mask,
 
 }  // namespace
 
-MBI_HOT void OrderByKeyDescending(const double* keys, size_t n,
-                                  EntryOrderScratch* scratch,
-                                  std::vector<uint32_t>* order) {
+MBI_HOT KeysLeftOut OrderByKeyDescending(const double* keys, size_t n,
+                                         EntryOrderScratch* scratch,
+                                         std::vector<uint32_t>* order,
+                                         double cutoff) {
   MBI_CHECK(n < std::numeric_limits<uint32_t>::max());
   EntryOrderScratch& s = *scratch;
   // Capacity for the worst case (every key distinct, the table at twice n so
@@ -62,9 +66,11 @@ MBI_HOT void OrderByKeyDescending(const double* keys, size_t n,
   s.key_ids.resize(n);
   order->resize(n);
 
-  // Pass 1: give every key the id of its distinct value and count each id.
-  // Nothing below outgrows the reserved capacity, so the raw pointers stay
-  // valid across the table's growth and the appends.
+  // Pass 1: give every key the id of its distinct value and count each id,
+  // or mark it left out. Nothing below outgrows the reserved capacity, so
+  // the raw pointers stay valid across the table's growth and the appends.
+  const bool cut = cutoff > -std::numeric_limits<double>::infinity();
+  KeysLeftOut left_out;
   s.slots.assign(kInitialSlots, 0u);
   s.values.clear();
   s.starts.clear();
@@ -74,6 +80,12 @@ MBI_HOT void OrderByKeyDescending(const double* keys, size_t n,
   size_t mask = kInitialSlots - 1;
   int shift = 64 - std::countr_zero(kInitialSlots);
   for (size_t i = 0; i < n; ++i) {
+    if (cut && keys[i] <= cutoff) {
+      ++left_out.count;
+      left_out.max = std::max(left_out.max, keys[i]);
+      s.key_ids[i] = kLeftOut;
+      continue;
+    }
     const double key = Canonical(keys[i]);
     const uint64_t bits = std::bit_cast<uint64_t>(key);
     size_t slot = FindSlot(slots, values, mask, shift, bits);
@@ -117,8 +129,11 @@ MBI_HOT void OrderByKeyDescending(const double* keys, size_t n,
 
   // Pass 3: scatter in ascending index, so equal keys keep index order.
   for (size_t i = 0; i < n; ++i) {
-    (*order)[starts[s.key_ids[i]]++] = static_cast<uint32_t>(i);
+    const uint32_t id = s.key_ids[i];
+    if (id != kLeftOut) (*order)[starts[id]++] = static_cast<uint32_t>(i);
   }
+  order->resize(n - left_out.count);
+  return left_out;
 }
 
 }  // namespace mbi

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/hot_path.h"
@@ -26,6 +27,13 @@ struct EntryOrderScratch {
   std::vector<uint32_t> key_ids;
 };
 
+/// The keys OrderByKeyDescending left out of its order: how many, and the
+/// largest of them (-inf when none).
+struct KeysLeftOut {
+  size_t count = 0;
+  double max = -std::numeric_limits<double>::infinity();
+};
+
 /// Writes into `order` the indices 0..n-1 sorted by `keys` descending, ties
 /// by ascending index: exactly std::stable_sort of the indices by key
 /// descending, the order in which the engine visits directory entries (paper
@@ -39,9 +47,17 @@ struct EntryOrderScratch {
 /// are f(M_opt, D_opt) over small integers, so D is tens to hundreds where n
 /// is tens of thousands. `order` doubles as the rank list before the scatter
 /// fills it.
-MBI_HOT void OrderByKeyDescending(const double* keys, size_t n,
-                                  EntryOrderScratch* scratch,
-                                  std::vector<uint32_t>* order);
+///
+/// A `cutoff` above -inf leaves out every key at or below it (a NaN key never
+/// is): `order` then holds only the other indices, in the same order as
+/// above, and the return value counts the left-out keys and gives their
+/// largest. The engine passes the bound below which an entry is pruned
+/// wherever it is reached, so such entries are never hashed or scattered.
+/// The default leaves nothing out.
+MBI_HOT KeysLeftOut OrderByKeyDescending(
+    const double* keys, size_t n, EntryOrderScratch* scratch,
+    std::vector<uint32_t>* order,
+    double cutoff = -std::numeric_limits<double>::infinity());
 
 }  // namespace mbi
 

@@ -19,7 +19,7 @@ namespace mbi {
 ///
 /// The engine itself is stateless and read-only; everything a query needs at
 /// runtime — bound-calculator tables, the entry visit order and its
-/// counting-sort scratch, the candidate-id scratch buffer, the k-nearest
+/// counting-sort scratch, the live-id scratch buffer, the k-nearest
 /// heap, the packed target bitmaps — lives here. A caller that answers many
 /// queries (batch mode, benchmarks, the `mbi query` CLI loop) constructs one
 /// context and passes it to every call, together with a result object the
@@ -99,6 +99,8 @@ class QueryContext {
   std::vector<int32_t> bound_dist_;
 
   // --- Candidate evaluation scratch. ---
+  // One entry's live ids, filled only by an engine bound to a DeleteMask;
+  // otherwise the engine scores the table's own span.
   std::vector<TransactionId> candidate_ids_;
   // SIMD match-kernel output for one entry's candidate batch, plus the
   // per-candidate similarity accumulator across targets.

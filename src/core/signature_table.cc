@@ -18,7 +18,11 @@ SignatureTable::SignatureTable(
       coordinate_of_transaction_(std::move(coordinate_of_transaction)),
       store_(std::move(store)) {
   coordinates_.reserve(entries_.size());
-  for (const Entry& entry : entries_) coordinates_.push_back(entry.coordinate);
+  extents_.reserve(entries_.size());
+  for (const Entry& entry : entries_) {
+    coordinates_.push_back(entry.coordinate);
+    extents_.push_back(store_.ExtentOfBucket(entry.bucket));
+  }
 }
 
 SignatureTable SignatureTable::Build(const TransactionDatabase& database,
@@ -75,17 +79,19 @@ Supercoordinate SignatureTable::CoordinateOfTransaction(
 
 std::vector<TransactionId> SignatureTable::FetchEntryTransactions(
     size_t entry_index, IoStats* stats) const {
-  MBI_CHECK(entry_index < entries_.size());
-  return store_.FetchBucket(entries_[entry_index].bucket, stats);
+  const std::span<const TransactionId> ids =
+      EntryTransactions(entry_index, stats);
+  return {ids.begin(), ids.end()};
 }
 
-MBI_HOT void SignatureTable::FetchEntryTransactions(
+void SignatureTable::FetchEntryTransactions(
     size_t entry_index, IoStats* stats, std::vector<TransactionId>* ids) const {
-  MBI_CHECK(entry_index < entries_.size());
-  store_.FetchBucket(entries_[entry_index].bucket, stats, ids);
+  const std::span<const TransactionId> span =
+      EntryTransactions(entry_index, stats);
+  ids->assign(span.begin(), span.end());
 }
 
-const std::vector<PageId>& SignatureTable::PagesOfEntry(
+std::span<const PageId> SignatureTable::PagesOfEntry(
     size_t entry_index) const {
   MBI_CHECK(entry_index < entries_.size());
   return store_.PagesOfBucket(entries_[entry_index].bucket);
@@ -144,10 +150,27 @@ void SignatureTable::CheckInvariants(
   // transactions whose supercoordinate equals the entry's coordinate, and
   // every transaction appears exactly once across all buckets.
   std::vector<bool> seen(num_transactions, false);
-  for (const Entry& entry : entries_) {
-    std::vector<TransactionId> ids =
-        store_.FetchBucket(entry.bucket, /*stats=*/nullptr);
+  MBI_CHECK_EQ(extents_.size(), entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& entry = entries_[i];
+    const TransactionStore::Extent& extent = store_.ExtentOfBucket(entry.bucket);
+    MBI_CHECK_EQ(extents_[i].first, extent.first);
+    MBI_CHECK_EQ(extents_[i].count, extent.count);
+    MBI_CHECK_EQ(extents_[i].pages, extent.pages);
+    const std::span<const TransactionId> ids =
+        store_.BucketTransactions(entry.bucket, /*stats=*/nullptr);
     MBI_CHECK_EQ(ids.size(), static_cast<size_t>(entry.transaction_count));
+    // The bucket's slice is its pages' ids, page after page.
+    const std::span<const PageId> pages = store_.PagesOfBucket(entry.bucket);
+    MBI_CHECK_EQ(pages.size(), static_cast<size_t>(extent.pages));
+    size_t offset = 0;
+    for (PageId page : pages) {
+      for (TransactionId id : store_.page_store().IdsOnPage(page)) {
+        MBI_CHECK_LT(offset, ids.size());
+        MBI_CHECK_EQ(ids[offset++], id);
+      }
+    }
+    MBI_CHECK_EQ(offset, ids.size());
     for (TransactionId id : ids) {
       MBI_CHECK_LT(id, num_transactions);
       MBI_CHECK_MSG(!seen[id], "transaction indexed in two buckets");

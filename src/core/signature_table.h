@@ -2,6 +2,7 @@
 #define MBI_CORE_SIGNATURE_TABLE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/signature_partition.h"
@@ -92,19 +93,30 @@ class SignatureTable {
   Supercoordinate CoordinateOfTransaction(TransactionId id) const;
 
   /// Reads the transaction ids of entry `entry_index` (index into
-  /// `entries()`) from the simulated disk, charging I/O to `stats`.
+  /// `entries()`) from the simulated disk, charging I/O to `stats` as a walk
+  /// over the entry's pages would: `PagesOfEntry(entry_index).size()` page
+  /// reads (to the mbi.pagestore.pages_read counter too) and one
+  /// transaction fetch per id. The ids are a view of the table's own
+  /// storage, in layout order, valid as long as the table is; the query
+  /// hot path scores straight from it.
+  MBI_HOT std::span<const TransactionId> EntryTransactions(
+      size_t entry_index, IoStats* stats) const {
+    MBI_CHECK(entry_index < extents_.size());
+    return store_.Read(extents_[entry_index], stats);
+  }
+
+  /// EntryTransactions copied into a fresh vector.
   std::vector<TransactionId> FetchEntryTransactions(size_t entry_index,
                                                     IoStats* stats) const;
 
-  /// Scratch-output variant for the query hot path: clears `*ids` and fills
-  /// it with the entry's transaction ids. A buffer reused across entry scans
-  /// allocates nothing once grown to the largest bucket; ids and I/O
-  /// accounting are identical to the returning overload.
-  MBI_HOT void FetchEntryTransactions(size_t entry_index, IoStats* stats,
-                                      std::vector<TransactionId>* ids) const;
+  /// EntryTransactions copied into `*ids` (cleared first). A buffer reused
+  /// across entries allocates nothing once grown to the largest bucket; ids
+  /// and I/O accounting are identical to EntryTransactions.
+  void FetchEntryTransactions(size_t entry_index, IoStats* stats,
+                              std::vector<TransactionId>* ids) const;
 
   /// Pages backing one entry (for I/O-shape assertions in tests).
-  const std::vector<PageId>& PagesOfEntry(size_t entry_index) const;
+  std::span<const PageId> PagesOfEntry(size_t entry_index) const;
 
   Stats ComputeStats() const;
 
@@ -152,6 +164,9 @@ class SignatureTable {
   SignatureTableConfig config_;
   std::vector<Entry> entries_;
   std::vector<Supercoordinate> coordinates_;  // Parallel to entries_.
+  // Where each entry's ids live in store_, parallel to entries_: the bucket
+  // resolved once, so a query reads one record per scanned entry.
+  std::vector<TransactionStore::Extent> extents_;
   std::vector<Supercoordinate> coordinate_of_transaction_;
   TransactionStore store_;
 };

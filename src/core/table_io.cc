@@ -1,6 +1,10 @@
 #include "core/table_io.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,7 +37,8 @@ struct TableParts {
   std::vector<Supercoordinate> coordinates;
   std::vector<SignatureTable::Entry> entries;
   std::vector<std::vector<PageId>> buckets;
-  std::vector<Page> pages;
+  std::vector<Page> pages;  // Views into page_ids, in page order.
+  std::vector<TransactionId> page_ids;
   std::vector<PageId> page_of_transaction;
 };
 
@@ -71,7 +76,10 @@ Status ParseBuckets(SectionParser* parser, uint64_t max_buckets,
   return Status::Ok();
 }
 
-Status ParsePages(SectionParser* parser, std::vector<Page>* pages) {
+/// Reads the pages into one id array, page after page; `expected_ids` (the
+/// declared transaction count) sizes the array up front.
+Status ParsePages(SectionParser* parser, uint64_t expected_ids,
+                  std::vector<Page>* pages, std::vector<TransactionId>* ids) {
   uint64_t num_pages = 0;
   MBI_RETURN_IF_ERROR(parser->ReadU64(&num_pages));
   if (num_pages > kMaxReasonableCount) {
@@ -79,20 +87,28 @@ Status ParsePages(SectionParser* parser, std::vector<Page>* pages) {
                               std::to_string(num_pages));
   }
   pages->resize(static_cast<size_t>(num_pages));
+  ids->clear();
+  ids->reserve(static_cast<size_t>(
+      std::min<uint64_t>(expected_ids, parser->remaining() / 4)));
+  std::vector<TransactionId> page_ids;
   for (auto& page : *pages) {
     MBI_RETURN_IF_ERROR(parser->ReadU32(&page.used_bytes));
-    MBI_RETURN_IF_ERROR(
-        parser->ReadU32Vector(kMaxReasonableCount, &page.transaction_ids));
+    MBI_RETURN_IF_ERROR(parser->ReadU32Vector(
+        std::numeric_limits<uint32_t>::max(), &page_ids));
+    page.first = ids->size();
+    page.count = static_cast<uint32_t>(page_ids.size());
+    ids->insert(ids->end(), page_ids.begin(), page_ids.end());
   }
   return Status::Ok();
 }
 
 /// The full cross-section invariant walk. Rejects, as kCorruption, every
 /// condition that SignatureTable::Assemble, TransactionStore::FromParts, or
-/// PageStore::FromPages would abort on, plus the referential checks (page
-/// membership, id ranges) that would otherwise crash a later query. When
-/// `database` is non-null the table must index exactly that database; a
-/// sound file over different data is kInvalidArgument, not corruption.
+/// PageStore::FromPages would abort on (a page backing two buckets among
+/// them), plus the referential checks (page membership, id ranges) that
+/// would otherwise crash a later query. When `database` is non-null the
+/// table must index exactly that database; a sound file over different data
+/// is kInvalidArgument, not corruption.
 Status ValidateParts(const std::string& path, const TableParts& parts,
                      const TransactionDatabase* database) {
   if (parts.cardinality == 0 ||
@@ -188,15 +204,16 @@ Status ValidateParts(const std::string& path, const TableParts& parts,
                                 std::to_string(parts.page_size) +
                                 "-byte page");
     }
-    for (TransactionId id : page.transaction_ids) {
-      if (id >= parts.num_transactions) {
-        return Status::Corruption(path + ": page lists transaction " +
-                                  std::to_string(id) + " beyond the " +
-                                  std::to_string(parts.num_transactions) +
-                                  " indexed");
-      }
+  }
+  for (TransactionId id : parts.page_ids) {
+    if (id >= parts.num_transactions) {
+      return Status::Corruption(path + ": page lists transaction " +
+                                std::to_string(id) + " beyond the " +
+                                std::to_string(parts.num_transactions) +
+                                " indexed");
     }
   }
+  std::vector<bool> backs_a_bucket(static_cast<size_t>(num_pages), false);
   for (const auto& bucket : parts.buckets) {
     for (PageId page : bucket) {
       if (page >= num_pages) {
@@ -204,6 +221,11 @@ Status ValidateParts(const std::string& path, const TableParts& parts,
                                   std::to_string(page) + " of " +
                                   std::to_string(num_pages));
       }
+      if (backs_a_bucket[page]) {
+        return Status::Corruption(path + ": page " + std::to_string(page) +
+                                  " backs two buckets");
+      }
+      backs_a_bucket[page] = true;
     }
   }
   if (parts.page_of_transaction.size() != parts.num_transactions) {
@@ -221,13 +243,11 @@ Status ValidateParts(const std::string& path, const TableParts& parts,
     }
     // FromParts aborts unless every transaction really is on its mapped
     // page; replicate that membership check gracefully here.
-    bool found = false;
-    for (TransactionId resident : parts.pages[page].transaction_ids) {
-      if (resident == id) {
-        found = true;
-        break;
-      }
-    }
+    const Page& view = parts.pages[page];
+    const auto residents =
+        parts.page_ids.begin() + static_cast<ptrdiff_t>(view.first);
+    const auto residents_end = residents + view.count;
+    const bool found = std::find(residents, residents_end, id) != residents_end;
     if (!found) {
       return Status::Corruption(path + ": transaction " + std::to_string(id) +
                                 " is mapped to page " + std::to_string(page) +
@@ -290,7 +310,8 @@ StatusOr<SignatureTable> LoadTableImpl(const std::string& path,
     MBI_ASSIGN_OR_RETURN(std::vector<uint8_t> pages,
                          reader.ReadSection(kSectionPages, "pages"));
     SectionParser page_parser(pages, path + ": section 'pages'");
-    MBI_RETURN_IF_ERROR(ParsePages(&page_parser, &parts.pages));
+    MBI_RETURN_IF_ERROR(ParsePages(&page_parser, parts.num_transactions,
+                                   &parts.pages, &parts.page_ids));
     MBI_RETURN_IF_ERROR(page_parser.ExpectConsumed());
 
     MBI_ASSIGN_OR_RETURN(std::vector<uint8_t> page_map,
@@ -326,7 +347,8 @@ StatusOr<SignatureTable> LoadTableImpl(const std::string& path,
         ParseDirectory(&parser, parts.num_transactions, &parts.entries));
     MBI_RETURN_IF_ERROR(
         ParseBuckets(&parser, parts.num_transactions, &parts.buckets));
-    MBI_RETURN_IF_ERROR(ParsePages(&parser, &parts.pages));
+    MBI_RETURN_IF_ERROR(ParsePages(&parser, parts.num_transactions,
+                                   &parts.pages, &parts.page_ids));
     MBI_RETURN_IF_ERROR(parser.ReadU32Vector(kMaxReasonableCount,
                                              &parts.page_of_transaction));
     MBI_RETURN_IF_ERROR(parser.ExpectConsumed());
@@ -341,7 +363,8 @@ StatusOr<SignatureTable> LoadTableImpl(const std::string& path,
       SignaturePartition(parts.cardinality, std::move(parts.signature_of_item)),
       config, std::move(parts.entries), std::move(parts.coordinates),
       TransactionStore::FromParts(
-          PageStore::FromPages(parts.page_size, std::move(parts.pages)),
+          PageStore::FromPages(parts.page_size, std::move(parts.pages),
+                               std::move(parts.page_ids)),
           std::move(parts.buckets), std::move(parts.page_of_transaction)));
 }
 
@@ -393,7 +416,7 @@ Status SaveSignatureTable(const SignatureTable& table, const std::string& path,
   writer.BeginSection(kSectionBuckets);
   writer.PutU64(store.num_buckets());
   for (uint32_t bucket = 0; bucket < store.num_buckets(); ++bucket) {
-    const std::vector<PageId>& pages = store.PagesOfBucket(bucket);
+    const std::span<const PageId> pages = store.PagesOfBucket(bucket);
     writer.PutU32Span(pages.data(), pages.size());
   }
   MBI_RETURN_IF_ERROR(writer.EndSection());
@@ -401,9 +424,10 @@ Status SaveSignatureTable(const SignatureTable& table, const std::string& path,
   const PageStore& pages = store.page_store();
   writer.BeginSection(kSectionPages);
   writer.PutU64(pages.size());
-  for (const Page& page : pages.pages()) {
-    writer.PutU32(page.used_bytes);
-    writer.PutU32Span(page.transaction_ids.data(), page.transaction_ids.size());
+  for (PageId page = 0; page < pages.size(); ++page) {
+    const std::span<const TransactionId> ids = pages.IdsOnPage(page);
+    writer.PutU32(pages.pages()[page].used_bytes);
+    writer.PutU32Span(ids.data(), ids.size());
   }
   MBI_RETURN_IF_ERROR(writer.EndSection());
 

@@ -11,7 +11,8 @@ BufferPool::BufferPool(const PageStore* store, size_t capacity_pages)
   MBI_CHECK(store != nullptr);
 }
 
-const Page& BufferPool::Read(PageId page, IoStats* stats) {
+std::span<const TransactionId> BufferPool::Read(PageId page,
+                                                IoStats* stats) {
   if (capacity_ == 0) {
     ++misses_;
     if (misses_metric_ != nullptr) misses_metric_->Increment();
@@ -27,7 +28,7 @@ const Page& BufferPool::Read(PageId page, IoStats* stats) {
   }
   ++misses_;
   if (misses_metric_ != nullptr) misses_metric_->Increment();
-  const Page& loaded = store_->Read(page, stats);
+  const std::span<const TransactionId> loaded = store_->Read(page, stats);
   lru_.push_front(page);
   lookup_[page] = lru_.begin();
   // Evict the least-recently-used *unpinned* page. Pinned pages may keep the

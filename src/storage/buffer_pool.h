@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <list>
+#include <span>
 #include <unordered_map>
 
 #include "storage/page_store.h"
@@ -27,9 +28,9 @@ class BufferPool {
   /// `capacity_pages` of 0 disables caching (every read is physical).
   BufferPool(const PageStore* store, size_t capacity_pages);
 
-  /// Reads a page through the cache, updating `stats` (miss: physical read;
-  /// hit: pages_cached).
-  const Page& Read(PageId page, IoStats* stats);
+  /// Reads a page's ids through the cache, updating `stats` (miss: physical
+  /// read; hit: pages_cached).
+  std::span<const TransactionId> Read(PageId page, IoStats* stats);
 
   /// Enables hit/miss counters (mbi.bufferpool.*) in `registry`; nullptr
   /// disables. The hit ratio is derived from the two counters at export time.
@@ -80,7 +81,7 @@ class BufferPool {
 };
 
 /// RAII pin: holds one pin on a page for the guard's lifetime. Used by
-/// readers that keep a `const Page&` across further pool traffic.
+/// readers that keep a page's ids across further pool traffic.
 class PinGuard {
  public:
   PinGuard(BufferPool* pool, PageId page) : pool_(pool), page_(page) {

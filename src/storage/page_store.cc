@@ -1,5 +1,8 @@
 #include "storage/page_store.h"
 
+#include <cstddef>
+#include <limits>
+
 #include "storage/format.h"
 #include "util/macros.h"
 
@@ -28,30 +31,62 @@ PageId PageStore::Append(TransactionId id, uint32_t serialized_size) {
                 "transaction larger than a page");
   if (pages_.empty() ||
       pages_.back().used_bytes + serialized_size > page_size_bytes_) {
-    pages_.emplace_back();
+    pages_.push_back({ids_.size(), 0, 0});
     if (pages_written_metric_ != nullptr) pages_written_metric_->Increment();
   }
   Page& tail = pages_.back();
-  tail.transaction_ids.push_back(id);
+  MBI_CHECK_MSG(tail.first + tail.count == ids_.size(),
+                "appends need the tail page at the end of the id array");
+  ids_.push_back(id);
+  ++tail.count;
   tail.used_bytes += serialized_size;
   return static_cast<PageId>(pages_.size() - 1);
 }
 
 void PageStore::SealCurrentPage() {
-  if (!pages_.empty() && !pages_.back().transaction_ids.empty()) {
+  if (!pages_.empty() && pages_.back().count > 0) {
     pages_.back().used_bytes = page_size_bytes_;
   }
 }
 
 PageStore PageStore::FromPages(uint32_t page_size_bytes,
-                               std::vector<Page> pages) {
+                               std::vector<Page> pages,
+                               std::vector<TransactionId> ids) {
   PageStore store(page_size_bytes);
-  for (const Page& page : pages) {
+  uint64_t next = 0;
+  for (Page& page : pages) {
     MBI_CHECK_MSG(page.used_bytes <= page_size_bytes,
                   "serialized page exceeds the page size");
+    page.first = next;
+    next += page.count;
   }
+  MBI_CHECK_MSG(next == ids.size(), "page counts do not cover the id array");
   store.pages_ = std::move(pages);
+  store.ids_ = std::move(ids);
   return store;
+}
+
+void PageStore::GroupPages(std::span<const PageId> order) {
+  std::vector<bool> placed(pages_.size(), false);
+  std::vector<TransactionId> ids;
+  ids.reserve(ids_.size());
+  auto place = [&](PageId page) {
+    Page& view = pages_[page];
+    const uint64_t first = ids.size();
+    ids.insert(ids.end(), ids_.begin() + static_cast<ptrdiff_t>(view.first),
+               ids_.begin() + static_cast<ptrdiff_t>(view.first + view.count));
+    view.first = first;
+    placed[page] = true;
+  };
+  for (PageId page : order) {
+    MBI_CHECK_MSG(page < pages_.size(), "grouping names a missing page");
+    MBI_CHECK_MSG(!placed[page], "grouping names a page twice");
+    place(page);
+  }
+  for (PageId page = 0; page < pages_.size(); ++page) {
+    if (!placed[page]) place(page);
+  }
+  ids_ = std::move(ids);
 }
 
 Status PageStore::SpillToFile(const std::string& path, Env* env) const {
@@ -64,9 +99,10 @@ Status PageStore::SpillToFile(const std::string& path, Env* env) const {
   MBI_RETURN_IF_ERROR(writer.EndSection());
 
   writer.BeginSection(kSectionPages);
-  for (const Page& page : pages_) {
-    writer.PutU32(page.used_bytes);
-    writer.PutU32Span(page.transaction_ids.data(), page.transaction_ids.size());
+  for (PageId page = 0; page < pages_.size(); ++page) {
+    const std::span<const TransactionId> ids = IdsOnPage(page);
+    writer.PutU32(pages_[page].used_bytes);
+    writer.PutU32Span(ids.data(), ids.size());
   }
   MBI_RETURN_IF_ERROR(writer.EndSection());
 
@@ -103,10 +139,14 @@ StatusOr<PageStore> PageStore::LoadSpillFile(const std::string& path,
   MBI_RETURN_IF_ERROR(reader.ExpectEnd());
   SectionParser parser(body, path + ": section 'pages'");
   std::vector<Page> pages(static_cast<size_t>(num_pages));
+  std::vector<TransactionId> ids;
+  std::vector<TransactionId> page_ids;
   for (Page& page : pages) {
     MBI_RETURN_IF_ERROR(parser.ReadU32(&page.used_bytes));
-    MBI_RETURN_IF_ERROR(
-        parser.ReadU32Vector(kMaxReasonablePages, &page.transaction_ids));
+    MBI_RETURN_IF_ERROR(parser.ReadU32Vector(
+        std::numeric_limits<uint32_t>::max(), &page_ids));
+    page.count = static_cast<uint32_t>(page_ids.size());
+    ids.insert(ids.end(), page_ids.begin(), page_ids.end());
     if (page.used_bytes > page_size) {
       return Status::Corruption(path + ": page claims " +
                                 std::to_string(page.used_bytes) +
@@ -115,17 +155,19 @@ StatusOr<PageStore> PageStore::LoadSpillFile(const std::string& path,
     }
   }
   MBI_RETURN_IF_ERROR(parser.ExpectConsumed());
-  return FromPages(page_size, std::move(pages));
+  return FromPages(page_size, std::move(pages), std::move(ids));
 }
 
-const Page& PageStore::Read(PageId page, IoStats* stats) const {
+std::span<const TransactionId> PageStore::Read(PageId page,
+                                               IoStats* stats) const {
+  const std::span<const TransactionId> ids = IdsOnPage(page);
+  ChargeReads(1, stats);
+  return ids;
+}
+
+std::span<const TransactionId> PageStore::IdsOnPage(PageId page) const {
   MBI_CHECK(page < pages_.size());
-  if (stats != nullptr) {
-    ++stats->pages_read;
-    stats->bytes_read += page_size_bytes_;
-  }
-  if (pages_read_metric_ != nullptr) pages_read_metric_->Increment();
-  return pages_[page];
+  return Slice(pages_[page].first, pages_[page].count);
 }
 
 void PageStore::set_metrics(MetricsRegistry* registry) {

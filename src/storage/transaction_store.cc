@@ -1,7 +1,6 @@
 #include "storage/transaction_store.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/macros.h"
 
@@ -10,12 +9,27 @@ namespace mbi {
 TransactionStore::TransactionStore(uint32_t page_size_bytes)
     : page_store_(page_size_bytes) {}
 
+void TransactionStore::CloseBucket(uint32_t end) {
+  const uint32_t begin = bucket_page_begin_.back();
+  Extent extent;
+  extent.pages = end - begin;
+  if (begin < end) {
+    extent.first = page_store_.pages()[bucket_page_ids_[begin]].first;
+  }
+  for (uint32_t i = begin; i < end; ++i) {
+    extent.count += page_store_.pages()[bucket_page_ids_[i]].count;
+  }
+  extents_.push_back(extent);
+  bucket_page_begin_.push_back(end);
+}
+
 TransactionStore TransactionStore::BuildBucketed(
     const TransactionDatabase& database, const std::vector<uint32_t>& bucket_of,
     uint32_t num_buckets, uint32_t page_size_bytes) {
   MBI_CHECK(bucket_of.size() == database.size());
   TransactionStore store(page_size_bytes);
-  store.bucket_pages_.resize(num_buckets);
+  store.extents_.reserve(num_buckets);
+  store.bucket_page_begin_.reserve(size_t{num_buckets} + 1);
   store.page_of_transaction_.resize(database.size());
 
   // Group transaction ids by bucket (counting sort keeps this O(n)).
@@ -36,19 +50,22 @@ TransactionStore TransactionStore::BuildBucketed(
     }
   }
 
+  // Each bucket starts on a fresh page and its pages are appended one after
+  // another, so its ids form one slice of the id array.
   for (uint32_t bucket = 0; bucket < num_buckets; ++bucket) {
-    if (bucket_sizes[bucket] == 0) continue;
-    store.page_store_.SealCurrentPage();
+    const size_t begin = store.bucket_page_ids_.size();
+    if (bucket_sizes[bucket] > 0) store.page_store_.SealCurrentPage();
     for (uint64_t pos = offsets[bucket]; pos < offsets[bucket + 1]; ++pos) {
       TransactionId id = ordered[pos];
       PageId page = store.page_store_.Append(
           id, PageStore::SerializedSize(database.Get(id)));
       store.page_of_transaction_[id] = page;
-      if (store.bucket_pages_[bucket].empty() ||
-          store.bucket_pages_[bucket].back() != page) {
-        store.bucket_pages_[bucket].push_back(page);
+      if (store.bucket_page_ids_.size() == begin ||
+          store.bucket_page_ids_.back() != page) {
+        store.bucket_page_ids_.push_back(page);
       }
     }
+    store.CloseBucket(static_cast<uint32_t>(store.bucket_page_ids_.size()));
   }
   return store;
 }
@@ -56,42 +73,26 @@ TransactionStore TransactionStore::BuildBucketed(
 TransactionStore TransactionStore::BuildSequential(
     const TransactionDatabase& database, uint32_t page_size_bytes) {
   TransactionStore store(page_size_bytes);
-  store.bucket_pages_.resize(1);
   store.page_of_transaction_.resize(database.size());
   for (TransactionId id = 0; id < database.size(); ++id) {
     PageId page = store.page_store_.Append(
         id, PageStore::SerializedSize(database.Get(id)));
     store.page_of_transaction_[id] = page;
-    if (store.bucket_pages_[0].empty() ||
-        store.bucket_pages_[0].back() != page) {
-      store.bucket_pages_[0].push_back(page);
+    if (store.bucket_page_ids_.empty() ||
+        store.bucket_page_ids_.back() != page) {
+      store.bucket_page_ids_.push_back(page);
     }
   }
+  store.CloseBucket(static_cast<uint32_t>(store.bucket_page_ids_.size()));
   return store;
 }
 
-const std::vector<PageId>& TransactionStore::PagesOfBucket(
+std::span<const PageId> TransactionStore::PagesOfBucket(
     uint32_t bucket) const {
-  MBI_CHECK(bucket < bucket_pages_.size());
-  return bucket_pages_[bucket];
-}
-
-std::vector<TransactionId> TransactionStore::FetchBucket(
-    uint32_t bucket, IoStats* stats) const {
-  std::vector<TransactionId> ids;
-  FetchBucket(bucket, stats, &ids);
-  return ids;
-}
-
-void TransactionStore::FetchBucket(uint32_t bucket, IoStats* stats,
-                                   std::vector<TransactionId>* ids) const {
-  ids->clear();
-  for (PageId page : PagesOfBucket(bucket)) {
-    const Page& loaded = page_store_.Read(page, stats);
-    ids->insert(ids->end(), loaded.transaction_ids.begin(),
-                loaded.transaction_ids.end());
-  }
-  if (stats != nullptr) stats->transactions_fetched += ids->size();
+  MBI_CHECK(bucket < extents_.size());
+  const uint32_t begin = bucket_page_begin_[bucket];
+  return {bucket_page_ids_.data() + begin,
+          bucket_page_begin_[bucket + 1] - begin};
 }
 
 void TransactionStore::FetchTransaction(TransactionId id, BufferPool* pool,
@@ -118,21 +119,44 @@ TransactionStore TransactionStore::FromParts(
     PageStore page_store, std::vector<std::vector<PageId>> buckets,
     std::vector<PageId> page_of_transaction) {
   TransactionStore store(page_store.page_size_bytes());
-  const size_t num_pages = page_store.size();
+  const std::vector<Page>& pages = page_store.pages();
+  std::vector<bool> backs_a_bucket(pages.size(), false);
+  bool contiguous = true;
   for (const auto& bucket : buckets) {
-    for (PageId page : bucket) {
-      MBI_CHECK_MSG(page < num_pages, "bucket references a missing page");
+    for (size_t i = 0; i < bucket.size(); ++i) {
+      const PageId page = bucket[i];
+      MBI_CHECK_MSG(page < pages.size(), "bucket references a missing page");
+      MBI_CHECK_MSG(!backs_a_bucket[page], "a page backs two buckets");
+      backs_a_bucket[page] = true;
+      if (i > 0) {
+        const Page& previous = pages[bucket[i - 1]];
+        contiguous &= pages[page].first == previous.first + previous.count;
+      }
     }
   }
   for (TransactionId id = 0; id < page_of_transaction.size(); ++id) {
     PageId page = page_of_transaction[id];
-    MBI_CHECK_MSG(page < num_pages, "transaction mapped to a missing page");
-    const auto& ids = page_store.pages()[page].transaction_ids;
+    MBI_CHECK_MSG(page < pages.size(), "transaction mapped to a missing page");
+    const std::span<const TransactionId> ids = page_store.IdsOnPage(page);
     MBI_CHECK_MSG(std::find(ids.begin(), ids.end(), id) != ids.end(),
                   "transaction not present on its mapped page");
   }
+
+  // The page lists laid end to end are the bucket-order grouping, and each
+  // bucket's extent is read off the (re-laid) pages.
+  for (const auto& bucket : buckets) {
+    store.bucket_page_ids_.insert(store.bucket_page_ids_.end(), bucket.begin(),
+                                  bucket.end());
+  }
+  if (!contiguous) page_store.GroupPages(store.bucket_page_ids_);
   store.page_store_ = std::move(page_store);
-  store.bucket_pages_ = std::move(buckets);
+  store.extents_.reserve(buckets.size());
+  store.bucket_page_begin_.reserve(buckets.size() + 1);
+  uint32_t end = 0;
+  for (const auto& bucket : buckets) {
+    end += static_cast<uint32_t>(bucket.size());
+    store.CloseBucket(end);
+  }
   store.page_of_transaction_ = std::move(page_of_transaction);
   return store;
 }

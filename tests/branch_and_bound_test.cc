@@ -339,6 +339,94 @@ TEST(FloorTest, MinusInfinityFloorIsThePlainSearch) {
   }
 }
 
+TEST(FloorTest, EntriesBelowTheFloorSettledInBulkMatchTheVisitedOnes) {
+  // Without a trace, entries bounded at or below floor + gap are left out of
+  // the visit order and settled in bulk; a trace still visits every entry.
+  // Both must report the same answer, counters and certificate, for floors
+  // below, inside and above the bound range, with and without a gap, under
+  // an entry budget and an access-fraction cut.
+  Fixture fixture = MakeFixture(53, 10, 1, 3000);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  MatchRatioFamily family;
+  QueryContext traced_context;
+  QueryContext plain_context;
+  NearestNeighborResult probe;
+  NearestNeighborResult traced;
+  NearestNeighborResult plain;
+  SearchOptions trace_options;
+  trace_options.collect_trace = true;
+  size_t bulk_pruned_queries = 0;
+  size_t stops_before_left_out = 0;
+  for (const Transaction& target : fixture.queries) {
+    engine.FindKNearest(target, family, 3, trace_options, &traced_context,
+                        &probe);
+    ASSERT_FALSE(probe.trace.empty());
+    ASSERT_GE(probe.trace.size(), 3u);
+    const double top = probe.trace.front().optimistic_bound;
+    const double bottom = probe.trace.back().optimistic_bound;
+    const double middle = probe.trace[probe.trace.size() / 3].optimistic_bound;
+    // Floors at the 2nd and 3rd best bounds leave one or two entries above
+    // them, so an entry budget of one or two can stop the search exactly
+    // where only the left-out entries remain.
+    const double second = probe.trace[1].optimistic_bound;
+    const double third = probe.trace[2].optimistic_bound;
+    for (double floor :
+         {bottom - 1.0, bottom, middle, third, second, top, top + 1.0}) {
+      for (double gap : {0.0, 0.05}) {
+        for (uint64_t max_entries : {uint64_t{0}, uint64_t{1}, uint64_t{2}}) {
+          for (double fraction : {1.0, 0.02}) {
+            SearchOptions options;
+            options.optimality_gap = gap;
+            options.max_access_fraction = fraction;
+            if (max_entries > 0) options.budget.max_entries = max_entries;
+            SearchOptions with_trace = options;
+            with_trace.collect_trace = true;
+            engine.FindKNearest(target, family, 3, with_trace, &traced_context,
+                                &traced, floor);
+            engine.FindKNearest(target, family, 3, options, &plain_context,
+                                &plain, floor);
+            const QueryStats& a = traced.stats;
+            const QueryStats& b = plain.stats;
+            EXPECT_EQ(a.entries_scanned, b.entries_scanned);
+            EXPECT_EQ(a.entries_pruned, b.entries_pruned);
+            EXPECT_EQ(a.entries_unexplored, b.entries_unexplored);
+            EXPECT_EQ(a.entries_total, b.entries_total);
+            EXPECT_EQ(a.transactions_evaluated, b.transactions_evaluated);
+            EXPECT_EQ(a.io.pages_read, b.io.pages_read);
+            EXPECT_EQ(a.io.transactions_fetched, b.io.transactions_fetched);
+            EXPECT_EQ(a.termination, b.termination);
+            EXPECT_EQ(a.is_exact, b.is_exact);
+            EXPECT_EQ(a.certificate_bound, b.certificate_bound);
+            ASSERT_EQ(traced.neighbors.size(), plain.neighbors.size());
+            for (size_t i = 0; i < plain.neighbors.size(); ++i) {
+              EXPECT_EQ(traced.neighbors[i].id, plain.neighbors[i].id);
+              EXPECT_EQ(traced.neighbors[i].similarity,
+                        plain.neighbors[i].similarity);
+            }
+            if (b.entries_pruned > 0 && b.entries_scanned > 0) {
+              ++bulk_pruned_queries;
+            }
+            // A stop with only left-out entries unexplored: every entry the
+            // traced search left unexplored is bounded at or below the floor.
+            bool only_left_out = b.entries_unexplored > 0;
+            for (const EntryTrace& entry : traced.trace) {
+              if (entry.action == EntryTrace::Action::kUnexplored &&
+                  entry.optimistic_bound > floor + gap) {
+                only_left_out = false;
+              }
+            }
+            if (only_left_out) ++stops_before_left_out;
+          }
+        }
+      }
+    }
+  }
+  // The sweep reaches both the bulk prune after scanning and a stop in
+  // front of the left-out entries.
+  EXPECT_GT(bulk_pruned_queries, 0u);
+  EXPECT_GT(stops_before_left_out, 0u);
+}
+
 // --- Multi-target queries (paper §4.3) ---
 
 TEST(BranchAndBoundTest, MultiTargetMatchesScanOracle) {

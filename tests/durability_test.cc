@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -248,7 +250,8 @@ void ExpectStoresEqual(const PageStore& a, const PageStore& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t p = 0; p < a.size(); ++p) {
     ASSERT_EQ(a.pages()[p].used_bytes, b.pages()[p].used_bytes);
-    ASSERT_EQ(a.pages()[p].transaction_ids, b.pages()[p].transaction_ids);
+    ASSERT_TRUE(std::ranges::equal(a.IdsOnPage(static_cast<PageId>(p)),
+                                   b.IdsOnPage(static_cast<PageId>(p))));
   }
 }
 
@@ -502,7 +505,7 @@ bool WriteU32(FILE* file, uint32_t value) {
 bool WriteU64(FILE* file, uint64_t value) {
   return std::fwrite(&value, sizeof(value), 1, file) == 1;
 }
-bool WriteU32Vector(FILE* file, const std::vector<uint32_t>& values) {
+bool WriteU32Vector(FILE* file, std::span<const uint32_t> values) {
   if (!WriteU64(file, values.size())) return false;
   return values.empty() ||
          std::fwrite(values.data(), sizeof(uint32_t), values.size(), file) ==
@@ -543,7 +546,10 @@ void WriteLegacyPartition(const std::string& path,
   ASSERT_EQ(std::fclose(file), 0);
 }
 
-void WriteLegacyTable(const std::string& path, const SignatureTable& table) {
+/// `bucket_sharing_pages`, when set, writes that bucket with bucket 0's page
+/// list instead of its own: a corrupt file whose pages back two buckets.
+void WriteLegacyTable(const std::string& path, const SignatureTable& table,
+                      uint32_t bucket_sharing_pages = UINT32_MAX) {
   FILE* file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
   const SignaturePartition& partition = table.partition();
@@ -572,13 +578,14 @@ void WriteLegacyTable(const std::string& path, const SignatureTable& table) {
   const TransactionStore& store = table.store();
   ASSERT_TRUE(WriteU64(file, store.num_buckets()));
   for (uint32_t bucket = 0; bucket < store.num_buckets(); ++bucket) {
-    ASSERT_TRUE(WriteU32Vector(file, store.PagesOfBucket(bucket)));
+    ASSERT_TRUE(WriteU32Vector(
+        file, store.PagesOfBucket(bucket == bucket_sharing_pages ? 0 : bucket)));
   }
   const PageStore& pages = store.page_store();
   ASSERT_TRUE(WriteU64(file, pages.size()));
-  for (const Page& page : pages.pages()) {
-    ASSERT_TRUE(WriteU32(file, page.used_bytes) &&
-                WriteU32Vector(file, page.transaction_ids));
+  for (PageId page = 0; page < pages.size(); ++page) {
+    ASSERT_TRUE(WriteU32(file, pages.pages()[page].used_bytes) &&
+                WriteU32Vector(file, pages.IdsOnPage(page)));
   }
   std::vector<uint32_t> page_of_transaction(num_transactions);
   for (TransactionId id = 0; id < num_transactions; ++id) {
@@ -637,6 +644,23 @@ TEST(LegacyFormatTest, ReadsSeedEraTableAndAnswersIdentically) {
       EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id);
     }
   }
+  std::remove(path.c_str());
+}
+
+TEST(LegacyFormatTest, RejectsAPageBackingTwoBuckets) {
+  // A bucket is one slice of the page store's id array, so a page may back
+  // only one bucket; a file that shares one is corrupt, not an abort.
+  TransactionDatabase db = MakeDatabase(FaultSeed() + 52, 300);
+  SignatureTable table = MakeTable(db);
+  ASSERT_GE(table.store().num_buckets(), 2u);
+  const std::string path = TempPath("legacy_shared_page.mbst");
+  WriteLegacyTable(path, table, /*bucket_sharing_pages=*/1);
+  auto loaded = LoadSignatureTable(path, db);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().ToString().find("backs two buckets"),
+            std::string::npos)
+      << loaded.status().ToString();
   std::remove(path.c_str());
 }
 

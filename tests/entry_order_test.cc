@@ -131,5 +131,44 @@ TEST_F(EntryOrderTest, WarmScratchDoesNotAllocateForMoreDistinctKeys) {
   EXPECT_EQ(order_, StableSortedByKeyDescending(all_distinct));
 }
 
+TEST_F(EntryOrderTest, CutoffLeavesOutKeysAtOrBelowIt) {
+  // The order with a cutoff is the full order with the keys at or below the
+  // cutoff removed; they are counted and their largest reported.
+  std::mt19937_64 rng(29);
+  std::vector<double> keys(5000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const int match = static_cast<int>(rng() % 9);
+    const int dist = static_cast<int>(rng() % 12);
+    keys[i] = dist == 0 ? kInf
+                        : static_cast<double>(match) / static_cast<double>(dist);
+    if (i % 97 == 0) keys[i] = -0.0;
+    if (i % 211 == 0) keys[i] = -kInf;
+  }
+  const std::vector<uint32_t> full = StableSortedByKeyDescending(keys);
+  for (double cutoff : {-1.0, 0.0, 0.25, 1.0, 8.0, kInf}) {
+    std::vector<uint32_t> expected;
+    KeysLeftOut expected_left_out;
+    for (uint32_t i : full) {
+      if (keys[i] > cutoff) {
+        expected.push_back(i);
+      } else {
+        ++expected_left_out.count;
+        expected_left_out.max = std::max(expected_left_out.max, keys[i]);
+      }
+    }
+    const KeysLeftOut left_out = OrderByKeyDescending(
+        keys.data(), keys.size(), &scratch_, &order_, cutoff);
+    EXPECT_EQ(order_, expected) << "cutoff " << cutoff;
+    EXPECT_EQ(left_out.count, expected_left_out.count) << "cutoff " << cutoff;
+    EXPECT_EQ(left_out.max, expected_left_out.max) << "cutoff " << cutoff;
+  }
+  // The default cutoff (-inf) leaves nothing out, -inf keys included.
+  const KeysLeftOut none =
+      OrderByKeyDescending(keys.data(), keys.size(), &scratch_, &order_);
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_EQ(none.max, -kInf);
+  EXPECT_EQ(order_, full);
+}
+
 }  // namespace
 }  // namespace mbi

@@ -6,7 +6,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
@@ -96,6 +100,131 @@ TEST(TableIoTest, LoadedTableAnswersQueriesIdentically) {
     EXPECT_EQ(a.stats.io.pages_read, b.stats.io.pages_read);
   }
   std::remove(path.c_str());
+}
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(TableIoTest, SaveLoadSaveIsByteIdentical) {
+  Fixture fixture = MakeFixture(433);
+  const std::string first = TempPath("table_first.mbst");
+  const std::string second = TempPath("table_second.mbst");
+  ASSERT_TRUE(SaveSignatureTable(fixture.table, first).ok());
+  auto loaded = LoadSignatureTable(first, fixture.db);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(SaveSignatureTable(*loaded, second).ok());
+  const std::vector<char> bytes = FileBytes(first);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes, FileBytes(second));
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
+/// `table` with its pages numbered backwards: the same buckets, rows, page
+/// contents and page counts, but every bucket of two or more pages now
+/// lists them in descending page order, so its ids are no longer one run of
+/// the page store's id array as parsed and the store must re-lay them.
+SignatureTable WithPagesReversed(const SignatureTable& table) {
+  const TransactionStore& store = table.store();
+  const PageStore& pages = store.page_store();
+  const PageId last = static_cast<PageId>(pages.size()) - 1;
+  std::vector<Page> reversed;
+  std::vector<TransactionId> ids;
+  for (PageId page = last + 1; page-- > 0;) {
+    const std::span<const TransactionId> on_page = pages.IdsOnPage(page);
+    Page view;
+    view.count = static_cast<uint32_t>(on_page.size());
+    view.used_bytes = pages.pages()[page].used_bytes;
+    reversed.push_back(view);
+    ids.insert(ids.end(), on_page.begin(), on_page.end());
+  }
+  std::vector<std::vector<PageId>> buckets(store.num_buckets());
+  for (uint32_t b = 0; b < store.num_buckets(); ++b) {
+    for (PageId page : store.PagesOfBucket(b)) {
+      buckets[b].push_back(last - page);
+    }
+  }
+  std::vector<PageId> page_of_transaction;
+  std::vector<Supercoordinate> coordinates;
+  for (TransactionId id = 0; id < table.num_indexed_transactions(); ++id) {
+    page_of_transaction.push_back(last - store.PageOfTransaction(id));
+    coordinates.push_back(table.CoordinateOfTransaction(id));
+  }
+  SignatureTableConfig config;
+  config.activation_threshold = table.activation_threshold();
+  config.page_size_bytes = table.page_size_bytes();
+  return SignatureTable::Assemble(
+      table.partition(), config, table.entries(), std::move(coordinates),
+      TransactionStore::FromParts(
+          PageStore::FromPages(config.page_size_bytes, std::move(reversed),
+                               std::move(ids)),
+          std::move(buckets), std::move(page_of_transaction)));
+}
+
+TEST(TableIoTest, NonConsecutiveBucketPagesReadTheSameIdsAndPages) {
+  QuestGeneratorConfig generator_config;
+  generator_config.universe_size = 300;
+  generator_config.num_large_itemsets = 70;
+  generator_config.avg_itemset_size = 5.0;
+  generator_config.avg_transaction_size = 9.0;
+  generator_config.seed = 439;
+  QuestGenerator generator(generator_config);
+  TransactionDatabase db = generator.GenerateDatabase(2500);
+  IndexBuildConfig build;
+  build.clustering.target_cardinality = 8;
+  build.table.page_size_bytes = 256;  // Multi-page buckets.
+  const SignatureTable table = BuildIndex(db, build);
+  const SignatureTable reversed = WithPagesReversed(table);
+  reversed.CheckInvariants(&db);
+
+  size_t multi_page_entries = 0;
+  ASSERT_EQ(reversed.entries().size(), table.entries().size());
+  for (size_t e = 0; e < table.entries().size(); ++e) {
+    IoStats io_a;
+    IoStats io_b;
+    EXPECT_EQ(reversed.FetchEntryTransactions(e, &io_a),
+              table.FetchEntryTransactions(e, &io_b));
+    EXPECT_EQ(io_a.pages_read, io_b.pages_read);
+    EXPECT_EQ(io_a.bytes_read, io_b.bytes_read);
+    EXPECT_EQ(io_a.transactions_fetched, io_b.transactions_fetched);
+    EXPECT_EQ(io_a.pages_read, reversed.PagesOfEntry(e).size());
+    if (table.PagesOfEntry(e).size() > 1) ++multi_page_entries;
+  }
+  EXPECT_GT(multi_page_entries, 0u);
+  EXPECT_EQ(reversed.ComputeStats().disk_pages,
+            table.ComputeStats().disk_pages);
+
+  BranchAndBoundEngine original(&db, &table);
+  BranchAndBoundEngine relaid(&db, &reversed);
+  CosineFamily family;
+  for (int q = 0; q < 10; ++q) {
+    const Transaction target = generator.NextTransaction();
+    const NearestNeighborResult a = original.FindKNearest(target, family, 5);
+    const NearestNeighborResult b = relaid.FindKNearest(target, family, 5);
+    ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
+    for (size_t i = 0; i < a.neighbors.size(); ++i) {
+      EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id);
+      EXPECT_EQ(a.neighbors[i].similarity, b.neighbors[i].similarity);
+    }
+    EXPECT_EQ(a.stats.io.pages_read, b.stats.io.pages_read);
+  }
+
+  // The reversed page numbering survives a save and load, byte for byte.
+  const std::string first = TempPath("table_reversed_first.mbst");
+  const std::string second = TempPath("table_reversed_second.mbst");
+  ASSERT_TRUE(SaveSignatureTable(reversed, first).ok());
+  auto loaded = LoadSignatureTable(first, db);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (size_t e = 0; e < table.entries().size(); ++e) {
+    EXPECT_EQ(loaded->FetchEntryTransactions(e, nullptr),
+              table.FetchEntryTransactions(e, nullptr));
+  }
+  ASSERT_TRUE(SaveSignatureTable(*loaded, second).ok());
+  EXPECT_EQ(FileBytes(first), FileBytes(second));
+  std::remove(first.c_str());
+  std::remove(second.c_str());
 }
 
 TEST(TableIoTest, RejectsDatabaseMismatch) {
