@@ -166,8 +166,10 @@ double AccuracyAtTermination(const BranchAndBoundEngine& engine,
 std::vector<double> AccuracyAtTerminationLevels(
     const BranchAndBoundEngine& engine,
     const std::vector<Transaction>& targets, const SimilarityFamily& family,
-    const std::vector<double>& access_fractions, EntrySortOrder sort_order) {
+    const std::vector<double>& access_fractions, EntrySortOrder sort_order,
+    std::vector<double>* certified) {
   std::vector<int> found(access_fractions.size(), 0);
+  std::vector<int> exact_certified(access_fractions.size(), 0);
   for (const Transaction& target : targets) {
     NearestNeighborResult exact = engine.FindKNearest(target, family, 1);
     for (size_t level = 0; level < access_fractions.size(); ++level) {
@@ -178,12 +180,19 @@ std::vector<double> AccuracyAtTerminationLevels(
           engine.FindKNearest(target, family, 1, options);
       found[level] += SimilarityEqual(fast.neighbors[0].similarity,
                                       exact.neighbors[0].similarity);
+      exact_certified[level] += fast.stats.is_exact ? 1 : 0;
     }
   }
+  const double queries = static_cast<double>(targets.size());
   std::vector<double> accuracy(access_fractions.size());
   for (size_t level = 0; level < access_fractions.size(); ++level) {
-    accuracy[level] =
-        100.0 * found[level] / static_cast<double>(targets.size());
+    accuracy[level] = 100.0 * found[level] / queries;
+  }
+  if (certified != nullptr) {
+    certified->resize(access_fractions.size());
+    for (size_t level = 0; level < access_fractions.size(); ++level) {
+      (*certified)[level] = 100.0 * exact_certified[level] / queries;
+    }
   }
   return accuracy;
 }
@@ -270,23 +279,34 @@ int RunAccuracyVsTermination(const std::string& figure,
       generator.GenerateQueries(static_cast<uint64_t>(flags.queries));
 
   TablePrinter table({"termination_%", "K=13", "K=14", "K=15"});
+  TablePrinter certified_table({"termination_%", "K=13", "K=14", "K=15"});
   std::vector<std::vector<std::string>> rows(kTerminationLevels.size());
   for (size_t level = 0; level < kTerminationLevels.size(); ++level) {
     rows[level].push_back(
         TablePrinter::Format(100.0 * kTerminationLevels[level], 1));
   }
+  std::vector<std::vector<std::string>> certified_rows = rows;
   for (uint32_t k : kPaperCardinalities) {
     SignatureTable sig_table = BuildTable(db, k);
     BranchAndBoundEngine engine(&db, &sig_table);
+    std::vector<double> certified;
     std::vector<double> accuracy = AccuracyAtTerminationLevels(
-        engine, targets, *family, kTerminationLevels);
+        engine, targets, *family, kTerminationLevels,
+        EntrySortOrder::kOptimisticBound, &certified);
     for (size_t level = 0; level < kTerminationLevels.size(); ++level) {
       rows[level].push_back(TablePrinter::Format(accuracy[level], 1));
+      certified_rows[level].push_back(
+          TablePrinter::Format(certified[level], 1));
     }
   }
   for (auto& row : rows) table.AddRow(std::move(row));
+  for (auto& row : certified_rows) certified_table.AddRow(std::move(row));
   std::printf("accuracy (%% of queries where the true NN was found):\n");
   flags.csv ? table.PrintCsv(stdout) : table.Print(stdout);
+  std::printf(
+      "\ncertified exact (%% of queries whose answer carries the certificate):"
+      "\n");
+  flags.csv ? certified_table.PrintCsv(stdout) : certified_table.Print(stdout);
   std::printf("\ntotal %.1fs\n", timer.ElapsedSeconds());
   return 0;
 }

@@ -62,12 +62,16 @@ double AccuracyAtTermination(const BranchAndBoundEngine& engine,
                                  EntrySortOrder::kOptimisticBound);
 
 /// Batched variant: one accuracy value per entry of `access_fractions`,
-/// computing each query's exact answer only once.
+/// computing each query's exact answer only once. When `certified` is
+/// non-null it receives, per level, the percentage of queries whose
+/// early-terminated answer carries the §4.2 exactness certificate
+/// (QueryStats::is_exact).
 std::vector<double> AccuracyAtTerminationLevels(
     const BranchAndBoundEngine& engine,
     const std::vector<Transaction>& targets, const SimilarityFamily& family,
     const std::vector<double>& access_fractions,
-    EntrySortOrder sort_order = EntrySortOrder::kOptimisticBound);
+    EntrySortOrder sort_order = EntrySortOrder::kOptimisticBound,
+    std::vector<double>* certified = nullptr);
 
 /// Prints the standard experiment banner.
 void PrintBanner(const std::string& figure, const std::string& what,

@@ -10,7 +10,9 @@
 //   MatchRowsGather/<isa>/w<N> — the same kernel through a shuffled id list
 //       (the branch-and-bound entry shape; exercises the software prefetch);
 //   BoundsBatch/<isa>        — the K=15 per-entry bound computation over
-//       32768 supercoordinates (the signature-directory scan shape);
+//       32768 supercoordinates (the paper's activation-bit bound);
+//   SummaryBounds/<isa>      — the K=15 count-summary bound the query paths
+//       use, over 32768 entries' SoA summaries (2K+1 bytes per entry);
 //   PackedBatch/<isa>        — end-to-end PackedTarget::MatchAndHammingRows
 //       over a QUEST T10 database (dense band + tail probe + Hamming);
 //   BandedLayout/{banded,dense} — an 8192-item Zipf universe scored through
@@ -146,6 +148,59 @@ void BM_BoundsBatch(benchmark::State& state, const KernelOps* ops) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.coords.size()));
+}
+
+// --- Raw summary bound kernel over synthetic per-entry summaries. ---
+
+struct SummaryData {
+  static constexpr uint32_t kCardinality = 15;
+  static constexpr size_t kCount = 32768;
+  // Shaped like T10 summaries at r = 1: small per-signature ranges, an
+  // occasional uncapped hi, rows of a few to a dozen items.
+  std::vector<uint8_t> lo, hi, size_min;
+  std::vector<int32_t> target_counts;
+  int32_t target_size = 0;
+  std::vector<int32_t> dist_out, match_out;
+
+  SummaryData()
+      : lo(kCardinality * kCount), hi(kCardinality * kCount),
+        size_min(kCount), target_counts(kCardinality), dist_out(kCount),
+        match_out(kCount) {
+    std::mt19937_64 rng(6);
+    for (size_t i = 0; i < lo.size(); ++i) {
+      lo[i] = static_cast<uint8_t>(rng() % 2);
+      hi[i] = rng() % 64 == 0 ? kernel::kSummaryCap
+                              : static_cast<uint8_t>(lo[i] + rng() % 4);
+    }
+    for (uint8_t& s : size_min) s = static_cast<uint8_t>(3 + rng() % 12);
+    for (int32_t& r : target_counts) {
+      r = static_cast<int32_t>(rng() % 3);
+      target_size += r;
+    }
+  }
+
+  static SummaryData& Get() {
+    static SummaryData data;
+    return data;
+  }
+};
+
+void BM_SummaryBounds(benchmark::State& state, kernel::SummaryBoundsFn fn) {
+  SummaryData& data = SummaryData::Get();
+  for (auto _ : state) {
+    fn(data.lo.data(), data.hi.data(), data.size_min.data(),
+       SummaryData::kCount, SummaryData::kCount, SummaryData::kCardinality,
+       data.target_counts.data(), data.target_size, data.dist_out.data(),
+       data.match_out.data());
+    benchmark::DoNotOptimize(data.dist_out.data());
+    benchmark::DoNotOptimize(data.match_out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(SummaryData::kCount));
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations()) *
+      static_cast<int64_t>(data.lo.size() + data.hi.size() +
+                           data.size_min.size()));
 }
 
 // --- End-to-end PackedTarget batch on QUEST data. ---
@@ -291,6 +346,9 @@ void RegisterAll() {
     }
     benchmark::RegisterBenchmark(("BoundsBatch/" + name).c_str(),
                                  BM_BoundsBatch, ops)
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("SummaryBounds/" + name).c_str(),
+                                 BM_SummaryBounds, ops->summary_bounds)
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("PackedBatch/" + name).c_str(),
                                  BM_PackedBatch, isa)

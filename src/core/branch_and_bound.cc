@@ -98,16 +98,17 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   const double target_count = static_cast<double>(num_targets);
 
   // FindOptimisticBound for every occupied entry: the average over targets
-  // of f_t(M_opt, D_opt) (paper §4.3 for the multi-target case; with a single
-  // target this is exactly Figure 3's FindOptimisticBound). The M/D bounds
-  // for a chunk come from the SIMD bounds kernel over the table's dense
-  // coordinate array, one target at a time (t-major scratch, so chunks touch
+  // of f_t(M', D') (paper §4.3 for the multi-target case; with a single
+  // target this is Figure 3's FindOptimisticBound over the entry's count
+  // summary, which is at least as tight as the paper's activation-bit
+  // bound — core/bounds.h). The M'/D' bounds for a chunk come from the SIMD
+  // summary kernel, one target at a time (t-major scratch, so chunks touch
   // disjoint slices). Chunks write disjoint slots of the output array, so
   // the parallel fan-out is deterministic: identical bounds for any thread
   // count — and the per-candidate sum accumulates targets in ascending t
   // exactly as before, keeping the doubles bit-identical.
   const auto& entries = table_->entries();
-  const Supercoordinate* coords = table_->coordinates().data();
+  const EntrySummaries summaries = table_->summaries();
   const size_t num_entries = entries.size();
   ctx.optimistic_.resize(num_entries);
   ctx.bound_match_.resize(num_targets * num_entries);
@@ -115,7 +116,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   auto compute_bounds = [&](size_t begin, size_t end) {
     for (size_t t = 0; t < num_targets; ++t) {
       const size_t base = t * num_entries;
-      ctx.calculators_[t].ComputeBatch(coords + begin, end - begin,
+      ctx.calculators_[t].ComputeBatch(summaries, begin, end - begin,
                                        ctx.bound_match_.data() + base + begin,
                                        ctx.bound_dist_.data() + base + begin);
     }
@@ -404,7 +405,7 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   // directory in index order, so there is no lazy prefix to exploit).
   std::vector<int32_t> bound_match(entries.size());
   std::vector<int32_t> bound_dist(entries.size());
-  calculator.ComputeBatch(table_->coordinates().data(), entries.size(),
+  calculator.ComputeBatch(table_->summaries(), 0, entries.size(),
                           bound_match.data(), bound_dist.data());
   std::vector<TransactionId> live_scratch;
   std::vector<uint32_t> match_scratch;
@@ -492,10 +493,11 @@ void BranchAndBoundEngine::CheckBoundDominance(
   BoundCalculator calculator(table_->partition().CountsPerSignature(target),
                              table_->activation_threshold());
 
+  const EntrySummaries summaries = table_->summaries();
   for (size_t i = 0; i < table_->entries().size(); ++i) {
-    const SignatureTable::Entry& entry = table_->entries()[i];
+    const OptimisticBounds bounds = calculator.Compute(summaries, i);
     const double optimistic =
-        calculator.OptimisticSimilarity(entry.coordinate, *similarity);
+        similarity->Evaluate(bounds.match_upper, bounds.dist_lower);
     for (TransactionId id : table_->EntryTransactions(i, /*stats=*/nullptr)) {
       size_t match = 0;
       size_t hamming = 0;

@@ -246,7 +246,8 @@ class BranchAndBoundEngine {
   const SignatureTable& table() const { return *table_; }
 
   /// Exhaustively verifies Lemma 2.1 for `target`: for every signature table
-  /// entry, the optimistic bound f(M_opt, D_opt) must dominate (be >= than)
+  /// entry, the optimistic bound f(M', D') the search prunes with (the
+  /// entry's count-summary bound, core/bounds.h) must dominate (be >= than)
   /// the actual similarity f(x, y) of *every* transaction indexed under that
   /// entry. This is the property that makes branch-and-bound pruning safe;
   /// a violation means the index could silently drop true nearest

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "kernel/kernels.h"
 #include "util/macros.h"
 
 namespace mbi {
 
 SignatureTable::SignatureTable(
-    SignaturePartition partition, SignatureTableConfig config,
-    std::vector<Entry> entries,
+    const TransactionDatabase& database, SignaturePartition partition,
+    SignatureTableConfig config, std::vector<Entry> entries,
     std::vector<Supercoordinate> coordinate_of_transaction,
     TransactionStore store)
     : partition_(std::move(partition)),
@@ -23,6 +24,60 @@ SignatureTable::SignatureTable(
     coordinates_.push_back(entry.coordinate);
     extents_.push_back(store_.ExtentOfBucket(entry.bucket));
   }
+  summary_ = DeriveSummaries(database);
+}
+
+SignatureTable::SummaryArrays SignatureTable::DeriveSummaries(
+    const TransactionDatabase& database) const {
+  constexpr int kCap = kernel::kSummaryCap;
+  const size_t num_entries = entries_.size();
+  const size_t k = cardinality();
+  // Each row's entry, from exactly the ids a scan of each entry reads, so a
+  // summary covers what its entry holds even in a table loaded from a file
+  // whose per-row coordinates disagree with its buckets.
+  std::vector<uint32_t> entry_of(database.size(), 0);
+  for (size_t e = 0; e < num_entries; ++e) {
+    for (TransactionId id : EntryTransactions(e, /*stats=*/nullptr)) {
+      entry_of[id] = static_cast<uint32_t>(e);
+    }
+  }
+  // Rows in id order (the database's storage order; entry order would read
+  // them at random) into entry-major records of lo[K], hi[K], s_min.
+  const size_t width = 2 * k + 1;
+  std::vector<uint8_t> records(width * num_entries, kCap);
+  for (size_t e = 0; e < num_entries; ++e) {
+    std::fill_n(records.begin() + static_cast<ptrdiff_t>(e * width + k), k, 0);
+  }
+  std::vector<int> counts;
+  for (TransactionId id = 0; id < database.size(); ++id) {
+    uint8_t* record = records.data() + size_t{entry_of[id]} * width;
+    const Transaction& row = database.Get(id);
+    partition_.CountsPerSignature(row, &counts);
+    for (size_t j = 0; j < k; ++j) {
+      // Saturate conservatively: a count at or past the cap lowers lo to the
+      // cap and sets hi to the cap, which reads as unbounded above.
+      const uint8_t count = static_cast<uint8_t>(std::min(counts[j], kCap));
+      record[j] = std::min(record[j], count);
+      record[k + j] = std::max(record[k + j], count);
+    }
+    const int size = static_cast<int>(std::min<size_t>(row.size(), kCap));
+    record[2 * k] = std::min(record[2 * k], static_cast<uint8_t>(size));
+  }
+  entry_of = {};
+  // Transpose into the SoA rows the bound kernel streams.
+  SummaryArrays out;
+  out.lo.resize(k * num_entries);
+  out.hi.resize(k * num_entries);
+  out.size_min.resize(num_entries);
+  for (size_t e = 0; e < num_entries; ++e) {
+    const uint8_t* record = records.data() + e * width;
+    for (size_t j = 0; j < k; ++j) {
+      out.lo[j * num_entries + e] = record[j];
+      out.hi[j * num_entries + e] = record[k + j];
+    }
+    out.size_min[e] = record[2 * k];
+  }
+  return out;
 }
 
 SignatureTable SignatureTable::Build(const TransactionDatabase& database,
@@ -67,8 +122,9 @@ SignatureTable SignatureTable::Build(const TransactionDatabase& database,
       database, bucket_of, static_cast<uint32_t>(occupied.size()),
       config.page_size_bytes);
 
-  return SignatureTable(std::move(partition), config, std::move(entries),
-                        std::move(coordinate_of), std::move(store));
+  return SignatureTable(database, std::move(partition), config,
+                        std::move(entries), std::move(coordinate_of),
+                        std::move(store));
 }
 
 Supercoordinate SignatureTable::CoordinateOfTransaction(
@@ -113,6 +169,8 @@ SignatureTable::Stats SignatureTable::ComputeStats() const {
   }
   stats.disk_pages = store_.page_store().size();
   stats.directory_bytes = MemoryFootprintBytes();
+  stats.summary_bytes =
+      summary_.lo.size() + summary_.hi.size() + summary_.size_min.size();
   return stats;
 }
 
@@ -192,12 +250,14 @@ void SignatureTable::CheckInvariants(
           SupercoordinateFromCounts(counts, config_.activation_threshold);
       MBI_CHECK_EQ(coordinate_of_transaction_[id], recomputed);
     }
+    MBI_CHECK_MSG(DeriveSummaries(*database) == summary_,
+                  "entry count summaries disagree with the rows");
   }
 }
 
 SignatureTable SignatureTable::Assemble(
-    SignaturePartition partition, SignatureTableConfig config,
-    std::vector<Entry> entries,
+    const TransactionDatabase& database, SignaturePartition partition,
+    SignatureTableConfig config, std::vector<Entry> entries,
     std::vector<Supercoordinate> coordinate_of_transaction,
     TransactionStore store) {
   MBI_CHECK(config.activation_threshold >= 1);
@@ -217,8 +277,8 @@ SignatureTable SignatureTable::Assemble(
   }
   MBI_CHECK_MSG(total == coordinate_of_transaction.size(),
                 "entry counts do not sum to the transaction count");
-  return SignatureTable(std::move(partition), config, std::move(entries),
-                        std::move(coordinate_of_transaction),
+  return SignatureTable(database, std::move(partition), config,
+                        std::move(entries), std::move(coordinate_of_transaction),
                         std::move(store));
 }
 

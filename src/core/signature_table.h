@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "core/bounds.h"
 #include "core/signature_partition.h"
 #include "core/supercoordinate.h"
 #include "storage/transaction_store.h"
@@ -62,6 +63,7 @@ class SignatureTable {
     uint64_t max_bucket_size = 0;
     uint64_t disk_pages = 0;
     uint64_t directory_bytes = 0;  // Paper's main-memory cost model.
+    uint64_t summary_bytes = 0;    // Per-entry count summaries: (2K+1)/entry.
   };
 
   /// Builds the table over `database` with the given partition.
@@ -87,6 +89,15 @@ class SignatureTable {
   /// stream.
   const std::vector<Supercoordinate>& coordinates() const {
     return coordinates_;
+  }
+
+  /// Per-entry count summaries, parallel to `entries()`: per signature j the
+  /// range of |X ∩ S_j| over the entry's rows X, and the smallest |X| — what
+  /// the tight optimistic bound (BoundCalculator::ComputeBatch) reads.
+  /// Derived from the rows whenever a table is built or loaded.
+  EntrySummaries summaries() const {
+    return {summary_.lo.data(), summary_.hi.data(), summary_.size_min.data(),
+            entries_.size()};
   }
 
   /// Supercoordinate the table assigned to a database transaction.
@@ -127,7 +138,8 @@ class SignatureTable {
   /// transaction present in exactly the bucket its supercoordinate selects.
   /// When `database` is non-null, additionally recomputes each transaction's
   /// supercoordinate from the item partition and activation threshold and
-  /// verifies it matches the stored decomposition. O(N + occupied entries);
+  /// verifies it matches the stored decomposition, and re-derives every
+  /// entry's count summary from its rows. O(N + occupied entries);
   /// meant for tests and the CLI's --check_invariants debug flag, not for
   /// query paths.
   void CheckInvariants(const TransactionDatabase* database = nullptr) const;
@@ -147,18 +159,32 @@ class SignatureTable {
   uint32_t page_size_bytes() const { return config_.page_size_bytes; }
 
   /// Reassembles a table from serialized parts (used by LoadSignatureTable);
-  /// validates entry ordering, bucket references, and per-entry counts.
+  /// validates entry ordering, bucket references, and per-entry counts, and
+  /// derives the count summaries from `database`'s rows.
   static SignatureTable Assemble(
-      SignaturePartition partition, SignatureTableConfig config,
-      std::vector<Entry> entries,
+      const TransactionDatabase& database, SignaturePartition partition,
+      SignatureTableConfig config, std::vector<Entry> entries,
       std::vector<Supercoordinate> coordinate_of_transaction,
       TransactionStore store);
 
  private:
-  SignatureTable(SignaturePartition partition, SignatureTableConfig config,
+  SignatureTable(const TransactionDatabase& database,
+                 SignaturePartition partition, SignatureTableConfig config,
                  std::vector<Entry> entries,
                  std::vector<Supercoordinate> coordinate_of_transaction,
                  TransactionStore store);
+
+  // Count summaries (see summaries()): K rows of entries_.size() bytes each
+  // for lo and hi, one row for the smallest row size.
+  struct SummaryArrays {
+    std::vector<uint8_t> lo;
+    std::vector<uint8_t> hi;
+    std::vector<uint8_t> size_min;
+    bool operator==(const SummaryArrays&) const = default;
+  };
+
+  /// Derives the summary arrays from each entry's rows.
+  SummaryArrays DeriveSummaries(const TransactionDatabase& database) const;
 
   SignaturePartition partition_;
   SignatureTableConfig config_;
@@ -167,6 +193,7 @@ class SignatureTable {
   // Where each entry's ids live in store_, parallel to entries_: the bucket
   // resolved once, so a query reads one record per scanned entry.
   std::vector<TransactionStore::Extent> extents_;
+  SummaryArrays summary_;
   std::vector<Supercoordinate> coordinate_of_transaction_;
   TransactionStore store_;
 };

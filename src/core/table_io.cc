@@ -257,11 +257,12 @@ Status ValidateParts(const std::string& path, const TableParts& parts,
   return Status::Ok();
 }
 
-/// Loads and validates `path`, against `database` when non-null. The core of
-/// both LoadSignatureTable and VerifySignatureTableFile.
-StatusOr<SignatureTable> LoadTableImpl(const std::string& path,
-                                       const TransactionDatabase* database,
-                                       Env* env) {
+/// Reads and validates `path`, against `database` when non-null. The core of
+/// both LoadSignatureTable and VerifySignatureTableFile: parts that pass are
+/// safe to assemble.
+StatusOr<TableParts> ReadTableParts(const std::string& path,
+                                    const TransactionDatabase* database,
+                                    Env* env) {
   MBI_ASSIGN_OR_RETURN(ArtifactReader reader,
                        ArtifactReader::Open(env, path, kTableMagic));
   TableParts parts;
@@ -355,11 +356,19 @@ StatusOr<SignatureTable> LoadTableImpl(const std::string& path,
   }
 
   MBI_RETURN_IF_ERROR(ValidateParts(path, parts, database));
+  return parts;
+}
 
+}  // namespace
+
+StatusOr<SignatureTable> LoadSignatureTable(
+    const std::string& path, const TransactionDatabase& database, Env* env) {
+  MBI_ASSIGN_OR_RETURN(TableParts parts, ReadTableParts(path, &database, env));
   SignatureTableConfig config;
   config.activation_threshold = static_cast<int>(parts.activation_threshold);
   config.page_size_bytes = parts.page_size;
   return SignatureTable::Assemble(
+      database,
       SignaturePartition(parts.cardinality, std::move(parts.signature_of_item)),
       config, std::move(parts.entries), std::move(parts.coordinates),
       TransactionStore::FromParts(
@@ -367,8 +376,6 @@ StatusOr<SignatureTable> LoadTableImpl(const std::string& path,
                                std::move(parts.page_ids)),
           std::move(parts.buckets), std::move(parts.page_of_transaction)));
 }
-
-}  // namespace
 
 Status SaveSignatureTable(const SignatureTable& table, const std::string& path,
                           Env* env) {
@@ -443,14 +450,9 @@ Status SaveSignatureTable(const SignatureTable& table, const std::string& path,
   return writer.Commit();
 }
 
-StatusOr<SignatureTable> LoadSignatureTable(
-    const std::string& path, const TransactionDatabase& database, Env* env) {
-  return LoadTableImpl(path, &database, env);
-}
-
 Status VerifySignatureTableFile(const std::string& path, Env* env) {
-  StatusOr<SignatureTable> table = LoadTableImpl(path, nullptr, env);
-  return table.ok() ? Status::Ok() : table.status();
+  StatusOr<TableParts> parts = ReadTableParts(path, nullptr, env);
+  return parts.ok() ? Status::Ok() : parts.status();
 }
 
 }  // namespace mbi

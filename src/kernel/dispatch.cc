@@ -9,18 +9,18 @@ namespace mbi::kernel {
 namespace {
 
 constexpr KernelOps kScalarOps = {Isa::kScalar, "scalar", MatchRowsScalar,
-                                  BoundsBatchScalar};
+                                  BoundsBatchScalar, SummaryBoundsScalar};
 #if MBI_KERNEL_BUILD_AVX2
 constexpr KernelOps kAvx2Ops = {Isa::kAvx2, "avx2", MatchRowsAvx2,
-                                BoundsBatchAvx2};
+                                BoundsBatchAvx2, SummaryBoundsAvx2};
 #endif
 #if MBI_KERNEL_BUILD_AVX512
 constexpr KernelOps kAvx512Ops = {Isa::kAvx512, "avx512", MatchRowsAvx512,
-                                  BoundsBatchAvx512};
+                                  BoundsBatchAvx512, SummaryBoundsAvx512};
 #endif
 #if MBI_KERNEL_BUILD_NEON
 constexpr KernelOps kNeonOps = {Isa::kNeon, "neon", MatchRowsNeon,
-                                BoundsBatchNeon};
+                                BoundsBatchNeon, SummaryBoundsNeon};
 #endif
 
 bool CpuSupports(Isa isa) {
@@ -33,9 +33,11 @@ bool CpuSupports(Isa isa) {
 #endif
 #if MBI_KERNEL_BUILD_AVX512
     case Isa::kAvx512:
-      // The 512-bit match kernel leans on VPOPCNTDQ; hosts with plain
-      // AVX-512F fall back to the AVX2 family instead of a slower emulation.
+      // The 512-bit match kernel leans on VPOPCNTDQ and the summary bound
+      // kernel on AVX-512BW byte arithmetic; hosts without both fall back
+      // to the AVX2 family instead of a slower emulation.
       return __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512vpopcntdq") != 0;
 #endif
 #if MBI_KERNEL_BUILD_NEON

@@ -109,6 +109,73 @@ MBI_HOT void BoundsBatchAvx2(const uint32_t* coords, size_t count,
   }
 }
 
+MBI_HOT void SummaryBoundsAvx2(const uint8_t* lo, const uint8_t* hi,
+                               const uint8_t* size_min, size_t stride,
+                               size_t count, uint32_t cardinality,
+                               const int32_t* target_counts,
+                               int32_t target_size, int32_t* dist_out,
+                               int32_t* match_out) {
+  if (!SummaryCountsFitBytes(target_counts, cardinality)) {
+    SummaryBoundsScalar(lo, hi, size_min, stride, count, cardinality,
+                        target_counts, target_size, dist_out, match_out);
+    return;
+  }
+  const __m256i size = _mm256_set1_epi32(target_size);
+  size_t i = 0;
+  for (; i + 32 <= count; i += 32) {
+    // 16-bit sums for entries [i, i + 16) (*0) and [i + 16, i + 32) (*1).
+    __m256i match0 = _mm256_setzero_si256();
+    __m256i match1 = _mm256_setzero_si256();
+    __m256i dist0 = _mm256_setzero_si256();
+    __m256i dist1 = _mm256_setzero_si256();
+    for (uint32_t j = 0; j < cardinality; ++j) {
+      const __m256i r = _mm256_set1_epi8(static_cast<char>(target_counts[j]));
+      const __m256i l = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(lo + j * stride + i));
+      const __m256i h = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(hi + j * stride + i));
+      // With r <= 255, min(r, 255) = r and sat(r - 255) = 0 give the
+      // unbounded-above reading of a capped hi for free; the two distance
+      // terms sum to at most 255, so a wrapping byte add is exact.
+      const __m256i m = _mm256_min_epu8(r, h);
+      const __m256i d =
+          _mm256_add_epi8(_mm256_subs_epu8(l, r), _mm256_subs_epu8(r, h));
+      match0 = _mm256_add_epi16(
+          match0, _mm256_cvtepu8_epi16(_mm256_castsi256_si128(m)));
+      match1 = _mm256_add_epi16(
+          match1, _mm256_cvtepu8_epi16(_mm256_extracti128_si256(m, 1)));
+      dist0 = _mm256_add_epi16(
+          dist0, _mm256_cvtepu8_epi16(_mm256_castsi256_si128(d)));
+      dist1 = _mm256_add_epi16(
+          dist1, _mm256_cvtepu8_epi16(_mm256_extracti128_si256(d, 1)));
+    }
+    // Widen eight entries at a time and take the size term's max.
+    auto finish = [&](__m128i match16, __m128i dist16, size_t at) {
+      const __m256i match = _mm256_cvtepu16_epi32(match16);
+      const __m256i dist = _mm256_cvtepu16_epi32(dist16);
+      const __m256i smallest = _mm256_cvtepu8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(size_min + at)));
+      const __m256i by_size = _mm256_sub_epi32(
+          _mm256_add_epi32(size, smallest), _mm256_slli_epi32(match, 1));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dist_out + at),
+                          _mm256_max_epi32(dist, by_size));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(match_out + at), match);
+    };
+    finish(_mm256_castsi256_si128(match0), _mm256_castsi256_si128(dist0), i);
+    finish(_mm256_extracti128_si256(match0, 1),
+           _mm256_extracti128_si256(dist0, 1), i + 8);
+    finish(_mm256_castsi256_si128(match1), _mm256_castsi256_si128(dist1),
+           i + 16);
+    finish(_mm256_extracti128_si256(match1, 1),
+           _mm256_extracti128_si256(dist1, 1), i + 24);
+  }
+  if (i < count) {
+    SummaryBoundsScalar(lo + i, hi + i, size_min + i, stride, count - i,
+                        cardinality, target_counts, target_size, dist_out + i,
+                        match_out + i);
+  }
+}
+
 }  // namespace mbi::kernel
 
 #endif  // MBI_KERNEL_BUILD_AVX2

@@ -82,6 +82,67 @@ MBI_HOT void BoundsBatchNeon(const uint32_t* coords, size_t count,
   }
 }
 
+MBI_HOT void SummaryBoundsNeon(const uint8_t* lo, const uint8_t* hi,
+                               const uint8_t* size_min, size_t stride,
+                               size_t count, uint32_t cardinality,
+                               const int32_t* target_counts,
+                               int32_t target_size, int32_t* dist_out,
+                               int32_t* match_out) {
+  if (!SummaryCountsFitBytes(target_counts, cardinality)) {
+    SummaryBoundsScalar(lo, hi, size_min, stride, count, cardinality,
+                        target_counts, target_size, dist_out, match_out);
+    return;
+  }
+  const int32x4_t size = vdupq_n_s32(target_size);
+  size_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    // 16-bit sums for entries [i, i + 8) (*0) and [i + 8, i + 16) (*1).
+    uint16x8_t match0 = vdupq_n_u16(0);
+    uint16x8_t match1 = vdupq_n_u16(0);
+    uint16x8_t dist0 = vdupq_n_u16(0);
+    uint16x8_t dist1 = vdupq_n_u16(0);
+    for (uint32_t j = 0; j < cardinality; ++j) {
+      const uint8x16_t r = vdupq_n_u8(static_cast<uint8_t>(target_counts[j]));
+      const uint8x16_t l = vld1q_u8(lo + j * stride + i);
+      const uint8x16_t h = vld1q_u8(hi + j * stride + i);
+      // Same byte arithmetic as the AVX2 variant (exact for r <= 255).
+      const uint8x16_t m = vminq_u8(r, h);
+      const uint8x16_t d = vaddq_u8(vqsubq_u8(l, r), vqsubq_u8(r, h));
+      match0 = vaddw_u8(match0, vget_low_u8(m));
+      match1 = vaddw_high_u8(match1, m);
+      dist0 = vaddw_u8(dist0, vget_low_u8(d));
+      dist1 = vaddw_high_u8(dist1, d);
+    }
+    // Widen four entries at a time and take the size term's max.
+    const uint8x16_t smallest8 = vld1q_u8(size_min + i);
+    const uint16x8_t smallest0 = vmovl_u8(vget_low_u8(smallest8));
+    const uint16x8_t smallest1 = vmovl_high_u8(smallest8);
+    auto finish = [&](uint16x4_t match16, uint16x4_t dist16,
+                      uint16x4_t smallest16, size_t at) {
+      const int32x4_t match = vreinterpretq_s32_u32(vmovl_u16(match16));
+      const int32x4_t dist = vreinterpretq_s32_u32(vmovl_u16(dist16));
+      const int32x4_t smallest = vreinterpretq_s32_u32(vmovl_u16(smallest16));
+      const int32x4_t by_size =
+          vsubq_s32(vaddq_s32(size, smallest), vshlq_n_s32(match, 1));
+      vst1q_s32(dist_out + at, vmaxq_s32(dist, by_size));
+      vst1q_s32(match_out + at, match);
+    };
+    finish(vget_low_u16(match0), vget_low_u16(dist0), vget_low_u16(smallest0),
+           i);
+    finish(vget_high_u16(match0), vget_high_u16(dist0),
+           vget_high_u16(smallest0), i + 4);
+    finish(vget_low_u16(match1), vget_low_u16(dist1), vget_low_u16(smallest1),
+           i + 8);
+    finish(vget_high_u16(match1), vget_high_u16(dist1),
+           vget_high_u16(smallest1), i + 12);
+  }
+  if (i < count) {
+    SummaryBoundsScalar(lo + i, hi + i, size_min + i, stride, count - i,
+                        cardinality, target_counts, target_size, dist_out + i,
+                        match_out + i);
+  }
+}
+
 }  // namespace mbi::kernel
 
 #endif  // MBI_KERNEL_BUILD_NEON

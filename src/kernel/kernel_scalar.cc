@@ -2,6 +2,7 @@
 // these (tests/kernel_test.cc sweeps the equivalence exhaustively); the
 // scalar path also serves hosts and builds with no vector units.
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -58,6 +59,38 @@ MBI_HOT void BoundsBatchScalar(const uint32_t* coords, size_t count,
     }
     dist_out[i] = dist;
     match_out[i] = match;
+  }
+}
+
+MBI_HOT void SummaryBoundsScalar(const uint8_t* lo, const uint8_t* hi,
+                                 const uint8_t* size_min, size_t stride,
+                                 size_t count, uint32_t cardinality,
+                                 const int32_t* target_counts,
+                                 int32_t target_size, int32_t* dist_out,
+                                 int32_t* match_out) {
+  std::fill_n(match_out, count, 0);
+  std::fill_n(dist_out, count, 0);
+  // Signature-major, so each pass streams one row of the SoA summaries.
+  for (uint32_t j = 0; j < cardinality; ++j) {
+    const uint8_t* lo_j = lo + j * stride;
+    const uint8_t* hi_j = hi + j * stride;
+    const int32_t r = target_counts[j];
+    for (size_t i = 0; i < count; ++i) {
+      const int32_t low = lo_j[i];
+      int32_t dist = std::max(0, low - r);
+      if (hi_j[i] == kSummaryCap) {  // Unbounded above.
+        match_out[i] += r;
+      } else {
+        const int32_t high = hi_j[i];
+        match_out[i] += std::min(r, high);
+        dist += std::max(0, r - high);
+      }
+      dist_out[i] += dist;
+    }
+  }
+  for (size_t i = 0; i < count; ++i) {
+    dist_out[i] = std::max(
+        dist_out[i], target_size + int32_t{size_min[i]} - 2 * match_out[i]);
   }
 }
 

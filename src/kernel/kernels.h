@@ -62,12 +62,51 @@ using BoundsBatchFn = void (*)(const uint32_t* coords, size_t count,
                                const int32_t* match_if_one, int32_t* dist_out,
                                int32_t* match_out);
 
+/// Saturation value of a per-entry count summary byte (core/bounds.h): an
+/// upper count stored at the cap means "unbounded above"; lower counts and
+/// row sizes clamp down to it.
+inline constexpr uint8_t kSummaryCap = 255;
+
+/// Per-entry summary bound kernel, vectorized across table entries.
+///
+/// Entry i's summary holds, per signature j, the range [lo_j, hi_j] of
+/// |X ∩ S_j| over the entry's rows X (SoA: lo[j * stride + i] and
+/// hi[j * stride + i]) and its smallest row size size_min[i]; hi_j ==
+/// kSummaryCap means unbounded above. With r_j = target_counts[j] (never
+/// clamped) and |T| = target_size:
+///
+///   match_out[i] = sum_j min(r_j, hi_j)
+///   dist_out[i]  = max(sum_j [max(0, lo_j - r_j) + max(0, r_j - hi_j)],
+///                      |T| + size_min[i] - 2 * match_out[i])
+///
+/// for j in [0, cardinality). Exact int32 arithmetic in every variant: the
+/// vector variants work in bytes (saturating subtract, min) accumulated in
+/// 16-bit lanes, which is exact whenever every r_j <= kSummaryCap (each
+/// signature adds at most 255 to either sum); a call with a larger r_j runs
+/// the scalar variant.
+using SummaryBoundsFn = void (*)(const uint8_t* lo, const uint8_t* hi,
+                                 const uint8_t* size_min, size_t stride,
+                                 size_t count, uint32_t cardinality,
+                                 const int32_t* target_counts,
+                                 int32_t target_size, int32_t* dist_out,
+                                 int32_t* match_out);
+
+/// True when every r_j fits the vector summary kernels' byte arithmetic.
+inline bool SummaryCountsFitBytes(const int32_t* target_counts,
+                                  uint32_t cardinality) {
+  for (uint32_t j = 0; j < cardinality; ++j) {
+    if (target_counts[j] > kSummaryCap) return false;
+  }
+  return true;
+}
+
 /// One resolved kernel family.
 struct KernelOps {
   Isa isa = Isa::kScalar;
   const char* name = "scalar";
   MatchRowsFn match_rows = nullptr;
   BoundsBatchFn bounds_batch = nullptr;
+  SummaryBoundsFn summary_bounds = nullptr;
 };
 
 // Which ISA variants this build contains (compile-time capability; runtime
@@ -95,6 +134,11 @@ void BoundsBatchScalar(const uint32_t* coords, size_t count,
                        const int32_t* dist_if_one, const int32_t* match_if_zero,
                        const int32_t* match_if_one, int32_t* dist_out,
                        int32_t* match_out);
+void SummaryBoundsScalar(const uint8_t* lo, const uint8_t* hi,
+                         const uint8_t* size_min, size_t stride, size_t count,
+                         uint32_t cardinality, const int32_t* target_counts,
+                         int32_t target_size, int32_t* dist_out,
+                         int32_t* match_out);
 
 #if MBI_KERNEL_BUILD_AVX2
 void MatchRowsAvx2(const uint64_t* target_row, const uint64_t* rows,
@@ -105,6 +149,11 @@ void BoundsBatchAvx2(const uint32_t* coords, size_t count,
                      const int32_t* dist_if_one, const int32_t* match_if_zero,
                      const int32_t* match_if_one, int32_t* dist_out,
                      int32_t* match_out);
+void SummaryBoundsAvx2(const uint8_t* lo, const uint8_t* hi,
+                       const uint8_t* size_min, size_t stride, size_t count,
+                       uint32_t cardinality, const int32_t* target_counts,
+                       int32_t target_size, int32_t* dist_out,
+                       int32_t* match_out);
 #endif
 
 #if MBI_KERNEL_BUILD_AVX512
@@ -116,6 +165,11 @@ void BoundsBatchAvx512(const uint32_t* coords, size_t count,
                        const int32_t* dist_if_one, const int32_t* match_if_zero,
                        const int32_t* match_if_one, int32_t* dist_out,
                        int32_t* match_out);
+void SummaryBoundsAvx512(const uint8_t* lo, const uint8_t* hi,
+                         const uint8_t* size_min, size_t stride, size_t count,
+                         uint32_t cardinality, const int32_t* target_counts,
+                         int32_t target_size, int32_t* dist_out,
+                         int32_t* match_out);
 #endif
 
 #if MBI_KERNEL_BUILD_NEON
@@ -127,6 +181,11 @@ void BoundsBatchNeon(const uint32_t* coords, size_t count,
                      const int32_t* dist_if_one, const int32_t* match_if_zero,
                      const int32_t* match_if_one, int32_t* dist_out,
                      int32_t* match_out);
+void SummaryBoundsNeon(const uint8_t* lo, const uint8_t* hi,
+                       const uint8_t* size_min, size_t stride, size_t count,
+                       uint32_t cardinality, const int32_t* target_counts,
+                       int32_t target_size, int32_t* dist_out,
+                       int32_t* match_out);
 #endif
 
 }  // namespace mbi::kernel

@@ -6,6 +6,7 @@
 #include "core/signature_table.h"
 #include "core/supercoordinate.h"
 #include "gen/quest_generator.h"
+#include "kernel/kernels.h"
 #include "mining/support_counter.h"
 
 namespace mbi {
@@ -82,12 +83,25 @@ TEST(BoundCalculatorTest, ActivationThresholdOneZeroBitGivesZeroMatches) {
   EXPECT_EQ(bounds.dist_lower, 4 + 2);
 }
 
-TEST(BoundCalculatorTest, OptimisticSimilarityAppliesFunction) {
+TEST(BoundCalculatorTest, SummaryBoundHandComputedExample) {
+  // Target counts r = (3, 1, 0), so |T| = 4. One entry whose rows hold
+  // 1..2 items of S0, any number of S1 (hi at the cap) and exactly 2 of S2,
+  // and at least 6 items in all.
   BoundCalculator calc({3, 1, 0}, 2);
-  InverseHammingSimilarity hamming;
-  EXPECT_DOUBLE_EQ(calc.OptimisticSimilarity(0b000, hamming), 0.5);
-  MatchRatioSimilarity ratio;
-  EXPECT_DOUBLE_EQ(calc.OptimisticSimilarity(0b111, ratio), 4.0 / 3.0);
+  const std::vector<uint8_t> lo = {1, 0, 2};
+  const std::vector<uint8_t> hi = {2, kernel::kSummaryCap, 2};
+  const std::vector<uint8_t> size_min = {6};
+  const EntrySummaries summaries{lo.data(), hi.data(), size_min.data(), 1};
+  const OptimisticBounds bounds = calc.Compute(summaries, 0);
+  // M' = min(3, 2) + 1 + min(0, 2).
+  EXPECT_EQ(bounds.match_upper, 3);
+  // Per signature: (3 - 2) + 0 + (2 - 0) = 3; by size: 4 + 6 - 2 * 3 = 4.
+  EXPECT_EQ(bounds.dist_lower, 4);
+  int32_t match = -1;
+  int32_t dist = -1;
+  calc.ComputeBatch(summaries, 0, 1, &match, &dist);
+  EXPECT_EQ(match, 3);
+  EXPECT_EQ(dist, 4);
 }
 
 // --- The central invariant: admissibility. For every entry and every

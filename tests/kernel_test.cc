@@ -4,10 +4,12 @@
 // bit-identical to the scalar reference — dispatch may only change speed,
 // never results. This suite proves it at three levels:
 //
-//   1. raw kernels: match/popcount and bounds batches across all compiled
-//      ISAs, all word counts 0..19 (0..3 full vector blocks plus every
-//      ragged tail), misaligned base pointers, gather and streaming forms,
-//      and random full-range coordinates;
+//   1. raw kernels: match/popcount, bounds and summary-bound batches across
+//      all compiled ISAs, all word counts 0..19 (0..3 full vector blocks
+//      plus every ragged tail), entry counts around every lane width,
+//      misaligned base pointers, gather and streaming forms, random
+//      full-range coordinates, and summary bytes and target counts on both
+//      sides of the byte cap;
 //   2. layout plumbing: ItemBandMap / BlockedLayout construction and the
 //      PackedTarget batch entry points against the per-candidate probe and
 //      the merge scan, across universe sizes and band splits;
@@ -233,6 +235,120 @@ TEST(BoundsKernelTest, ComputeBatchMatchesComputePerEntry) {
               << kernel::IsaName(isa) << " K=" << k << " r=" << r;
           ASSERT_EQ(dist[i], bounds.dist_lower)
               << kernel::IsaName(isa) << " K=" << k << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Raw summary bound kernel equivalence.
+// ---------------------------------------------------------------------------
+
+/// Random SoA summaries for `count` entries, row stride `stride`, starting
+/// `offset` bytes into each row (so vector loads run misaligned). Bytes span
+/// the full range, the cap included, and lo > hi is allowed: the kernel
+/// contract is bit-identity on any input, not only derived summaries.
+struct RandomSummaries {
+  std::vector<uint8_t> lo, hi, size_min;
+  RandomSummaries(std::mt19937_64& rng, uint32_t cardinality, size_t stride) {
+    lo.resize(cardinality * stride + 1);
+    hi.resize(cardinality * stride + 1);
+    size_min.resize(stride + 1);
+    auto byte = [&rng]() {
+      // Favour small counts and the cap, like real summaries.
+      const uint64_t pick = rng() % 8;
+      if (pick == 0) return kernel::kSummaryCap;
+      return static_cast<uint8_t>(pick < 6 ? rng() % 8 : rng() % 256);
+    };
+    for (uint8_t& b : lo) b = byte();
+    for (uint8_t& b : hi) b = byte();
+    for (uint8_t& b : size_min) b = byte();
+  }
+};
+
+/// Calls `fn` on the summaries for [offset, offset + count), as the engine's
+/// chunked bound pass does.
+void RunSummaryKernel(kernel::SummaryBoundsFn fn, const RandomSummaries& s,
+                      size_t stride, size_t offset, size_t count,
+                      uint32_t cardinality, const std::vector<int32_t>& r,
+                      int32_t target_size, std::vector<int32_t>* dist,
+                      std::vector<int32_t>* match) {
+  dist->assign(count, -7);
+  match->assign(count, -7);
+  fn(s.lo.data() + offset, s.hi.data() + offset, s.size_min.data() + offset,
+     stride, count, cardinality, r.data(), target_size, dist->data(),
+     match->data());
+}
+
+TEST(SummaryKernelTest, AllIsasMatchScalarAcrossCountsTailsAndCaps) {
+  std::mt19937_64 rng(9191);
+  for (uint32_t cardinality : {0u, 1u, 2u, 7u, 15u, 16u, 31u}) {
+    // Counts straddle every vector width (16/32/64 entries) and their tails.
+    for (size_t count : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                         size_t{17}, size_t{31}, size_t{32}, size_t{33},
+                         size_t{63}, size_t{64}, size_t{65}, size_t{130}}) {
+      const size_t offset = rng() % 3;
+      const size_t stride = count + offset + rng() % 5;
+      const RandomSummaries summaries(rng, cardinality, stride);
+      // Targets within the byte range (the vector path) and past it (the
+      // scalar hand-off).
+      for (int32_t max_count : {0, 9, 255, 700}) {
+        std::vector<int32_t> r(cardinality);
+        int32_t target_size = 0;
+        for (int32_t& rj : r) {
+          rj = static_cast<int32_t>(rng() % static_cast<uint64_t>(max_count + 1));
+          target_size += rj;
+        }
+        std::vector<int32_t> expected_dist, expected_match;
+        RunSummaryKernel(kernel::SummaryBoundsScalar, summaries, stride, offset,
+                         count, cardinality, r, target_size, &expected_dist,
+                         &expected_match);
+        for (Isa isa : SupportedIsas()) {
+          std::vector<int32_t> dist, match;
+          RunSummaryKernel(kernel::KernelsFor(isa)->summary_bounds, summaries,
+                           stride, offset, count, cardinality, r, target_size,
+                           &dist, &match);
+          EXPECT_EQ(dist, expected_dist)
+              << kernel::IsaName(isa) << " K=" << cardinality
+              << " n=" << count << " r<=" << max_count;
+          EXPECT_EQ(match, expected_match)
+              << kernel::IsaName(isa) << " K=" << cardinality
+              << " n=" << count << " r<=" << max_count;
+        }
+      }
+    }
+  }
+}
+
+TEST(SummaryKernelTest, ComputeBatchMatchesComputePerEntry) {
+  IsaGuard guard;
+  std::mt19937_64 rng(6060);
+  for (size_t k : {size_t{1}, size_t{5}, size_t{15}, size_t{31}}) {
+    constexpr size_t kEntries = 301;
+    const RandomSummaries data(rng, static_cast<uint32_t>(k), kEntries);
+    const EntrySummaries summaries{data.lo.data(), data.hi.data(),
+                                   data.size_min.data(), kEntries};
+    for (int spread : {3, 40, 300}) {
+      std::vector<int> counts(k);
+      for (int& c : counts) c = static_cast<int>(rng() % static_cast<uint64_t>(spread));
+      const BoundCalculator calculator(counts, 1);
+      for (Isa isa : SupportedIsas()) {
+        kernel::ForceIsa(isa);
+        // Chunks of the entry range, as the parallel bound pass splits it.
+        for (size_t begin = 0; begin < kEntries; begin += 97) {
+          const size_t count = std::min<size_t>(97, kEntries - begin);
+          std::vector<int32_t> match(count), dist(count);
+          calculator.ComputeBatch(summaries, begin, count, match.data(),
+                                  dist.data());
+          for (size_t i = 0; i < count; ++i) {
+            const OptimisticBounds bounds =
+                calculator.Compute(summaries, begin + i);
+            ASSERT_EQ(match[i], bounds.match_upper)
+                << kernel::IsaName(isa) << " K=" << k << " e=" << begin + i;
+            ASSERT_EQ(dist[i], bounds.dist_lower)
+                << kernel::IsaName(isa) << " K=" << k << " e=" << begin + i;
+          }
         }
       }
     }

@@ -69,6 +69,7 @@ NearestNeighborResult FindKNearestMultiTargetReference(
   const double target_count = static_cast<double>(targets.size());
 
   const auto& entries = table.entries();
+  const EntrySummaries summaries = table.summaries();
   EntryOrder order;
   order.indices.resize(entries.size());
   order.optimistic.resize(entries.size());
@@ -76,8 +77,10 @@ NearestNeighborResult FindKNearestMultiTargetReference(
     order.indices[i] = i;
     double sum = 0.0;
     for (size_t t = 0; t < targets.size(); ++t) {
-      sum += calculators[t].OptimisticSimilarity(entries[i].coordinate,
-                                                 *functions[t]);
+      // One entry's count-summary bound, written out signature by signature
+      // (BoundCalculator::Compute), not the engine's SIMD batch.
+      const OptimisticBounds bounds = calculators[t].Compute(summaries, i);
+      sum += functions[t]->Evaluate(bounds.match_upper, bounds.dist_lower);
     }
     order.optimistic[i] = sum / target_count;
   }

@@ -102,6 +102,18 @@ TEST(TableIoTest, LoadedTableAnswersQueriesIdentically) {
   std::remove(path.c_str());
 }
 
+/// The count summaries of `table` as plain vectors, for comparison.
+struct SummaryBytes {
+  std::vector<uint8_t> lo, hi, size_min;
+  bool operator==(const SummaryBytes&) const = default;
+};
+SummaryBytes SummariesOf(const SignatureTable& table) {
+  const EntrySummaries s = table.summaries();
+  const size_t rows = table.cardinality() * s.stride;
+  return {{s.lo, s.lo + rows}, {s.hi, s.hi + rows},
+          {s.size_min, s.size_min + s.stride}};
+}
+
 std::vector<char> FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -126,7 +138,8 @@ TEST(TableIoTest, SaveLoadSaveIsByteIdentical) {
 /// contents and page counts, but every bucket of two or more pages now
 /// lists them in descending page order, so its ids are no longer one run of
 /// the page store's id array as parsed and the store must re-lay them.
-SignatureTable WithPagesReversed(const SignatureTable& table) {
+SignatureTable WithPagesReversed(const TransactionDatabase& db,
+                                 const SignatureTable& table) {
   const TransactionStore& store = table.store();
   const PageStore& pages = store.page_store();
   const PageId last = static_cast<PageId>(pages.size()) - 1;
@@ -156,7 +169,7 @@ SignatureTable WithPagesReversed(const SignatureTable& table) {
   config.activation_threshold = table.activation_threshold();
   config.page_size_bytes = table.page_size_bytes();
   return SignatureTable::Assemble(
-      table.partition(), config, table.entries(), std::move(coordinates),
+      db, table.partition(), config, table.entries(), std::move(coordinates),
       TransactionStore::FromParts(
           PageStore::FromPages(config.page_size_bytes, std::move(reversed),
                                std::move(ids)),
@@ -176,7 +189,7 @@ TEST(TableIoTest, NonConsecutiveBucketPagesReadTheSameIdsAndPages) {
   build.clustering.target_cardinality = 8;
   build.table.page_size_bytes = 256;  // Multi-page buckets.
   const SignatureTable table = BuildIndex(db, build);
-  const SignatureTable reversed = WithPagesReversed(table);
+  const SignatureTable reversed = WithPagesReversed(db, table);
   reversed.CheckInvariants(&db);
 
   size_t multi_page_entries = 0;
@@ -221,6 +234,30 @@ TEST(TableIoTest, NonConsecutiveBucketPagesReadTheSameIdsAndPages) {
     EXPECT_EQ(loaded->FetchEntryTransactions(e, nullptr),
               table.FetchEntryTransactions(e, nullptr));
   }
+  ASSERT_TRUE(SaveSignatureTable(*loaded, second).ok());
+  EXPECT_EQ(FileBytes(first), FileBytes(second));
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
+TEST(TableIoTest, LoadedSummariesEqualBuiltAndSaveLoadSaveIsByteIdentical) {
+  // Summaries are not stored: a load re-derives them from the rows, and the
+  // file written back from the loaded table is the file it was read from.
+  Fixture fixture = MakeFixture(457);
+  const std::string first = TempPath("table_summary_first.mbst");
+  const std::string second = TempPath("table_summary_second.mbst");
+  ASSERT_TRUE(SaveSignatureTable(fixture.table, first).ok());
+  auto loaded = LoadSignatureTable(first, fixture.db);
+  ASSERT_TRUE(loaded.ok());
+  loaded->CheckInvariants(&fixture.db);
+  const SummaryBytes built = SummariesOf(fixture.table);
+  EXPECT_EQ(built.size_min.size(), fixture.table.entries().size());
+  EXPECT_EQ(built.lo.size(),
+            fixture.table.cardinality() * fixture.table.entries().size());
+  EXPECT_EQ(SummariesOf(*loaded), built);
+  EXPECT_EQ(loaded->ComputeStats().summary_bytes,
+            (2 * fixture.table.cardinality() + 1) *
+                fixture.table.entries().size());
   ASSERT_TRUE(SaveSignatureTable(*loaded, second).ok());
   EXPECT_EQ(FileBytes(first), FileBytes(second));
   std::remove(first.c_str());

@@ -90,6 +90,9 @@ int RunStats(int argc, char** argv) {
     std::printf("  directory memory:        %llu KiB\n",
                 static_cast<unsigned long long>(
                     index_stats.directory_bytes / 1024));
+    std::printf("  entry summaries:         %llu KiB ((2K+1) B per entry)\n",
+                static_cast<unsigned long long>(
+                    index_stats.summary_bytes / 1024));
     std::printf("  signature sizes:");
     for (uint32_t s = 0; s < table->cardinality(); ++s) {
       std::printf(" %zu", table->partition().ItemsOf(s).size());
