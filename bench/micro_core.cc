@@ -1,14 +1,17 @@
 // Google-benchmark microbenchmarks for the core index operations: similarity
 // primitives, bound computation, supercoordinate mapping, table construction,
-// and end-to-end query latency vs signature cardinality.
+// the per-query bound pass plus entry ordering, and end-to-end query latency
+// vs signature cardinality.
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/branch_and_bound.h"
 #include "core/bounds.h"
+#include "core/entry_order.h"
 #include "core/index_builder.h"
 #include "gen/quest_generator.h"
 
@@ -90,6 +93,94 @@ void BM_BoundComputation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundComputation)->Arg(10)->Arg(15)->Arg(20);
+
+/// The paper's §5 setting (T10.I6.D200K, K = 15, r = 1): 200K rows, the
+/// table over them, and 64 in-distribution targets.
+TransactionDatabase PaperDatabase(QuestGenerator* generator) {
+  return generator->GenerateDatabase(200'000);
+}
+
+IndexBuildConfig PaperBuildConfig() {
+  IndexBuildConfig config;
+  config.clustering.target_cardinality = 15;
+  config.table.activation_threshold = 1;
+  return config;
+}
+
+/// The paper's §5 setting (T10.I6.D200K, K = 15, r = 1): 200K rows, the
+/// table over them, and 64 in-distribution targets.
+struct PaperData {
+  QuestGenerator generator;
+  TransactionDatabase db;
+  SignatureTable table;
+  std::vector<Transaction> targets;
+
+  static const PaperData& Get() {
+    static const PaperData& instance = *new PaperData();
+    return instance;
+  }
+
+ private:
+  PaperData()
+      : generator(BenchConfig()),
+        db(PaperDatabase(&generator)),
+        table(BuildIndex(db, PaperBuildConfig())),
+        targets(generator.GenerateQueries(64)) {}
+};
+
+/// One query's bound pass plus entry ordering, the single-target path of
+/// BranchAndBoundEngine::FindKNearestMultiTarget: the summary kernel's
+/// (M', D') for every entry, then the visit order by f(M', D') with f
+/// evaluated once per occupied cell. Arg 0 picks the family (hamming,
+/// match_ratio, cosine); arg 1 = 1 orders only the entries above a floor, the
+/// 10th-best similarity of the target's exact answer (what a dyn component
+/// query receives from the components before it).
+void BM_BoundPassAndOrder(benchmark::State& state) {
+  const PaperData& data = PaperData::Get();
+  static const InverseHammingFamily hamming;
+  static const MatchRatioFamily match_ratio;
+  static const CosineFamily cosine;
+  const SimilarityFamily* const families[] = {&hamming, &match_ratio, &cosine};
+  const SimilarityFamily& family = *families[state.range(0)];
+  const bool with_floor = state.range(1) != 0;
+
+  struct Bound {
+    std::unique_ptr<SimilarityFunction> f;
+    BoundCalculator calculator;
+    double cutoff = -std::numeric_limits<double>::infinity();
+  };
+  std::vector<Bound> bound(data.targets.size());
+  BranchAndBoundEngine engine(&data.db, &data.table);
+  for (size_t t = 0; t < data.targets.size(); ++t) {
+    bound[t].f = family.ForTarget(data.targets[t]);
+    bound[t].calculator.Reset(
+        data.table.partition().CountsPerSignature(data.targets[t]),
+        data.table.activation_threshold());
+    if (with_floor) {
+      bound[t].cutoff =
+          engine.FindKNearest(data.targets[t], family, 10).neighbors.back()
+              .similarity;
+    }
+  }
+  const EntrySummaries summaries = data.table.summaries();
+  const size_t n = data.table.entries().size();
+  std::vector<int32_t> match(n);
+  std::vector<int32_t> dist(n);
+  EntryOrderScratch scratch;
+  std::vector<uint32_t> order;
+  size_t i = 0;
+  for (auto _ : state) {
+    const Bound& b = bound[i++ % bound.size()];
+    b.calculator.ComputeBatch(summaries, 0, n, match.data(), dist.data());
+    const KeysLeftOut left_out = OrderByBoundCell(
+        match.data(), dist.data(), n, *b.f, &scratch, &order, b.cutoff);
+    benchmark::DoNotOptimize(left_out.count + order.size());
+  }
+  state.counters["entries"] = static_cast<double>(n);
+}
+BENCHMARK(BM_BoundPassAndOrder)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TableBuild(benchmark::State& state) {
   const SharedData& data = SharedData::Get();

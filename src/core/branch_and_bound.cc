@@ -103,14 +103,11 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   // summary, which is at least as tight as the paper's activation-bit
   // bound — core/bounds.h). The M'/D' bounds for a chunk come from the SIMD
   // summary kernel, one target at a time (t-major scratch, so chunks touch
-  // disjoint slices). Chunks write disjoint slots of the output array, so
-  // the parallel fan-out is deterministic: identical bounds for any thread
-  // count — and the per-candidate sum accumulates targets in ascending t
-  // exactly as before, keeping the doubles bit-identical.
+  // disjoint slices, and the parallel fan-out is deterministic: identical
+  // bounds for any thread count).
   const auto& entries = table_->entries();
   const EntrySummaries summaries = table_->summaries();
   const size_t num_entries = entries.size();
-  ctx.optimistic_.resize(num_entries);
   ctx.bound_match_.resize(num_targets * num_entries);
   ctx.bound_dist_.resize(num_targets * num_entries);
   auto compute_bounds = [&](size_t begin, size_t end) {
@@ -119,15 +116,6 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
       ctx.calculators_[t].ComputeBatch(summaries, begin, end - begin,
                                        ctx.bound_match_.data() + base + begin,
                                        ctx.bound_dist_.data() + base + begin);
-    }
-    for (size_t i = begin; i < end; ++i) {
-      double sum = 0.0;
-      for (size_t t = 0; t < num_targets; ++t) {
-        const size_t base = t * num_entries;
-        sum += ctx.functions_[t]->Evaluate(ctx.bound_match_[base + i],
-                                           ctx.bound_dist_[base + i]);
-      }
-      ctx.optimistic_[i] = sum / target_count;
     }
   };
   if (ctx.bound_pool_ != nullptr &&
@@ -144,40 +132,70 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     compute_bounds(0, num_entries);
   }
 
-  // Visit-order keys (paper §4): either the optimistic bounds themselves or
-  // the similarity between supercoordinates; pruning always uses the bounds.
-  if (options.sort_order == EntrySortOrder::kSupercoordinateSimilarity) {
-    ctx.order_keys_.resize(num_entries);
-    // Use the first target's supercoordinate and function as the ranking key.
-    table_->partition().CountsPerSignature(targets[0], &ctx.counts_scratch_);
-    Supercoordinate target_coordinate = SupercoordinateFromCounts(
-        ctx.counts_scratch_, table_->activation_threshold());
-    for (size_t i = 0; i < num_entries; ++i) {
-      int match = 0, hamming = 0;
-      SupercoordinateMatchAndHamming(entries[i].coordinate, target_coordinate,
-                                     &match, &hamming);
-      ctx.order_keys_[i] = ctx.functions_[0]->Evaluate(match, hamming);
-    }
-  }
-  const std::vector<double>& keys =
-      options.sort_order == EntrySortOrder::kOptimisticBound ? ctx.optimistic_
-                                                             : ctx.order_keys_;
-
-  // Entry ordering (paper §4): a stable counting sort over the query's few
-  // distinct key values yields the visit order (key descending, index
-  // ascending) — the order the frozen reference's full sort produces — in
-  // O(E + D log D), and the scan walks it with a cursor. With a floor, an
-  // entry bounded at or below floor + gap is pruned wherever it is reached,
-  // so under the bound order those entries are left out of the order (they
-  // would all trail it) and settled in bulk from `below`; a trace still
-  // orders every entry so that it can record them in visit order.
+  // Entry ordering (paper §4): a stable counting sort yields the visit order
+  // (key descending, index ascending) — the order the frozen reference's
+  // full sort produces — and the scan walks it with a cursor. With a floor,
+  // an entry bounded at or below floor + gap is pruned wherever it is
+  // reached, so under the bound order those entries are left out of the
+  // order (they would all trail it) and settled in bulk from `below`; a
+  // trace still orders every entry so that it can record them in visit
+  // order.
   const bool has_floor = floor > kNegInfinity;
-  const bool split_below_floor =
-      has_floor && options.sort_order == EntrySortOrder::kOptimisticBound &&
-      !options.collect_trace;
-  const KeysLeftOut below = OrderByKeyDescending(
-      keys.data(), num_entries, &ctx.order_scratch_, &ctx.entry_order_,
-      split_below_floor ? floor + options.optimality_gap : kNegInfinity);
+  const bool by_bound = options.sort_order == EntrySortOrder::kOptimisticBound;
+  const double cutoff = has_floor && by_bound && !options.collect_trace
+                            ? floor + options.optimality_gap
+                            : kNegInfinity;
+  KeysLeftOut below;
+  // Per-entry bounds, when they are not read from the order's cells.
+  const double* entry_bounds = nullptr;
+  if (by_bound && num_targets == 1) {
+    // One target under the bound order: the key is f(M', D') of one cell,
+    // so f runs once per occupied cell and an entry's bound is read back
+    // from its cell (EntryOrderScratch::Key).
+    below = OrderByBoundCell(ctx.bound_match_.data(), ctx.bound_dist_.data(),
+                             num_entries, *ctx.functions_[0],
+                             &ctx.order_scratch_, &ctx.entry_order_, cutoff);
+  } else {
+    // The mean over targets: each f_t still runs once per occupied cell of
+    // target t's grid, and the per-entry sum reads those cells in ascending
+    // t and divides by n, so the doubles are bit-identical to summing
+    // f_t(M', D') per entry.
+    ctx.entry_bounds_.assign(num_entries, 0.0);
+    for (size_t t = 0; t < num_targets; ++t) {
+      const size_t base = t * num_entries;
+      AssignBoundCells(ctx.bound_match_.data() + base,
+                       ctx.bound_dist_.data() + base, num_entries,
+                       *ctx.functions_[t], &ctx.order_scratch_);
+      for (size_t i = 0; i < num_entries; ++i) {
+        ctx.entry_bounds_[i] += ctx.order_scratch_.Key(i);
+      }
+    }
+    for (double& bound : ctx.entry_bounds_) bound /= target_count;
+    entry_bounds = ctx.entry_bounds_.data();
+    const double* keys = entry_bounds;
+    if (!by_bound) {
+      // The ablation's visit order ranks entries by the similarity between
+      // supercoordinates, using the first target's; pruning still uses the
+      // bounds.
+      ctx.order_keys_.resize(num_entries);
+      table_->partition().CountsPerSignature(targets[0], &ctx.counts_scratch_);
+      Supercoordinate target_coordinate = SupercoordinateFromCounts(
+          ctx.counts_scratch_, table_->activation_threshold());
+      for (size_t i = 0; i < num_entries; ++i) {
+        int match = 0, hamming = 0;
+        SupercoordinateMatchAndHamming(entries[i].coordinate,
+                                       target_coordinate, &match, &hamming);
+        ctx.order_keys_[i] = ctx.functions_[0]->Evaluate(match, hamming);
+      }
+      keys = ctx.order_keys_.data();
+    }
+    below = OrderByKeyDescending(keys, num_entries, &ctx.order_scratch_,
+                                 &ctx.entry_order_, cutoff);
+  }
+  auto bound_of = [&](uint32_t entry_index) {
+    return entry_bounds != nullptr ? entry_bounds[entry_index]
+                                   : ctx.order_scratch_.Key(entry_index);
+  };
   const std::vector<uint32_t>& order = ctx.entry_order_;
   const size_t num_ordered = order.size();
   size_t cursor = 0;
@@ -239,7 +257,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     if (!options.collect_trace) return;
     EntryTrace entry_trace;
     entry_trace.coordinate = entries[entry_index].coordinate;
-    entry_trace.optimistic_bound = ctx.optimistic_[entry_index];
+    entry_trace.optimistic_bound = bound_of(entry_index);
     entry_trace.transaction_count = entries[entry_index].transaction_count;
     entry_trace.action = action;
     entry_trace.pessimistic_bound = pessimistic();
@@ -284,12 +302,12 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
       break;
     }
     const uint32_t entry_index = order[cursor++];
-    double optimistic = ctx.optimistic_[entry_index];
+    const double optimistic = bound_of(entry_index);
     if ((knn_heap.size() == k || has_floor) &&
         optimistic <= pessimistic() + options.optimality_gap) {
       max_pruned_bound = std::max(max_pruned_bound, optimistic);
       record_trace(entry_index, EntryTrace::Action::kPruned);
-      if (options.sort_order == EntrySortOrder::kOptimisticBound) {
+      if (by_bound) {
         // Entries are visited in decreasing optimistic bound, so the whole
         // tail is prunable too, the entries left out below the floor with
         // it; the ordered tail is only walked when a trace wants the
@@ -331,8 +349,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     result.stats.entries_unexplored = num_ordered - cursor + below_left;
     if (below_left > 0) unexplored_bound = below.max;
     for (; cursor < num_ordered; ++cursor) {
-      unexplored_bound =
-          std::max(unexplored_bound, ctx.optimistic_[order[cursor]]);
+      unexplored_bound = std::max(unexplored_bound, bound_of(order[cursor]));
       record_trace(order[cursor], EntryTrace::Action::kUnexplored);
     }
   }

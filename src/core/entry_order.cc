@@ -21,7 +21,13 @@ constexpr size_t kInitialSlots = 1024;
 /// doubles over the table.
 constexpr uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ull;
 
-/// key_ids value of a key left out by the cutoff (distinct ids are < n).
+/// Smallest capacity reserved for the cell grid. A query's grid spans its
+/// entries' range of M' times their range of D': a few hundred cells on the
+/// paper's data (at most 777 over 30 T10.I6 targets), and more only when
+/// rows are large, so a warm scratch seldom has to grow it.
+constexpr size_t kMinGridCells = 4096;
+
+/// Tie-group id of a bucket left out by the cutoff (group ids are < n).
 constexpr uint32_t kLeftOut = std::numeric_limits<uint32_t>::max();
 
 /// Keys that compare equal get one bit pattern: -0.0 becomes 0.0 and every
@@ -31,10 +37,14 @@ double Canonical(double key) {
   return key + 0.0;
 }
 
-/// Descending value with NaN last: a strict total order over canonical
-/// distinct values.
+/// Descending value with NaN last: a strict weak order whose equivalence
+/// classes are the tie groups (values that compare equal, or all NaNs).
 bool RanksBefore(double a, double b) {
   return a > b || (std::isnan(b) && !std::isnan(a));
+}
+
+bool SameRank(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
 }
 
 /// Linear probe over a table of mask + 1 slots (a power of two, 2^(64 -
@@ -49,43 +59,23 @@ size_t FindSlot(const uint32_t* slots, const double* values, size_t mask,
   return slot;
 }
 
-}  // namespace
-
-MBI_HOT KeysLeftOut OrderByKeyDescending(const double* keys, size_t n,
-                                         EntryOrderScratch* scratch,
-                                         std::vector<uint32_t>* order,
-                                         double cutoff) {
-  MBI_CHECK(n < std::numeric_limits<uint32_t>::max());
+/// Bucket assignment by hashing: every key gets the bucket of its canonical
+/// value, by first appearance.
+void AssignKeyBuckets(const double* keys, size_t n, EntryOrderScratch* scratch) {
   EntryOrderScratch& s = *scratch;
   // Capacity for the worst case (every key distinct, the table at twice n so
   // its load stays at most one half) is reserved by n alone, so a warm
   // scratch never allocates, while a call touches only what its keys use.
+  // Nothing below outgrows it, so the raw pointers stay valid across the
+  // table's growth and the appends.
   s.slots.reserve(std::max(kInitialSlots, std::bit_ceil(2 * n)));
-  s.values.reserve(n);
-  s.starts.reserve(n);
-  s.key_ids.resize(n);
-  order->resize(n);
-
-  // Pass 1: give every key the id of its distinct value and count each id,
-  // or mark it left out. Nothing below outgrows the reserved capacity, so
-  // the raw pointers stay valid across the table's growth and the appends.
-  const bool cut = cutoff > -std::numeric_limits<double>::infinity();
-  KeysLeftOut left_out;
   s.slots.assign(kInitialSlots, 0u);
-  s.values.clear();
-  s.starts.clear();
   uint32_t* const slots = s.slots.data();
   const double* const values = s.values.data();
-  uint32_t* const starts = s.starts.data();
+  uint32_t* const counts = s.counts.data();
   size_t mask = kInitialSlots - 1;
   int shift = 64 - std::countr_zero(kInitialSlots);
   for (size_t i = 0; i < n; ++i) {
-    if (cut && keys[i] <= cutoff) {
-      ++left_out.count;
-      left_out.max = std::max(left_out.max, keys[i]);
-      s.key_ids[i] = kLeftOut;
-      continue;
-    }
     const double key = Canonical(keys[i]);
     const uint64_t bits = std::bit_cast<uint64_t>(key);
     size_t slot = FindSlot(slots, values, mask, shift, bits);
@@ -103,37 +93,158 @@ MBI_HOT KeysLeftOut OrderByKeyDescending(const double* keys, size_t n,
         slot = FindSlot(slots, values, mask, shift, bits);
       }
       s.values.push_back(key);
-      s.starts.push_back(0);
+      counts[distinct] = 0;
       slots[slot] = static_cast<uint32_t>(distinct + 1);
     }
-    const uint32_t id = slots[slot] - 1;
-    s.key_ids[i] = id;
-    ++starts[id];
+    const uint32_t bucket = slots[slot] - 1;
+    s.key_buckets[i] = bucket;
+    ++counts[bucket];
   }
+}
 
-  // Pass 2: sort only the distinct values and turn the counts into each
-  // rank's first output position. The output holds the ranked ids until the
-  // scatter overwrites it.
-  const size_t distinct = s.values.size();
+/// Sizes the scratch for n keys and empties its buckets.
+void PrepareBuckets(size_t n, EntryOrderScratch* scratch) {
+  MBI_CHECK(n < std::numeric_limits<uint32_t>::max());
+  EntryOrderScratch& s = *scratch;
+  s.key_buckets.resize(n);
+  if (s.counts.size() < n) s.counts.resize(n);
+  s.values.reserve(n);
+  s.cursors.reserve(n);
+  s.values.clear();
+}
+
+/// The shared rank-and-scatter: ranks the buckets by value, gives buckets
+/// whose values compare equal one tie group, leaves out the groups at or
+/// below `cutoff`, and scatters the keys in ascending index, so a tie group
+/// keeps index order.
+KeysLeftOut RankAndScatter(EntryOrderScratch* scratch,
+                           std::vector<uint32_t>* order, double cutoff) {
+  EntryOrderScratch& s = *scratch;
+  const size_t n = s.key_buckets.size();
+  const size_t num_buckets = s.values.size();
+  order->resize(n);
+
+  // Sort only the bucket ids (the output holds them until the scatter
+  // overwrites it), then turn the counts into each group's first output
+  // position.
+  const double* const values = s.values.data();
   uint32_t* const ranked = order->data();
-  std::iota(ranked, ranked + distinct, 0u);
-  std::sort(ranked, ranked + distinct, [values](uint32_t a, uint32_t b) {
+  std::iota(ranked, ranked + num_buckets, 0u);
+  std::sort(ranked, ranked + num_buckets, [values](uint32_t a, uint32_t b) {
     return RanksBefore(values[a], values[b]);
   });
+  const bool cut = cutoff > -std::numeric_limits<double>::infinity();
+  KeysLeftOut left_out;
+  s.cursors.clear();
   uint32_t next = 0;
-  for (size_t r = 0; r < distinct; ++r) {
-    const uint32_t count = starts[ranked[r]];
-    starts[ranked[r]] = next;
+  for (size_t r = 0; r < num_buckets; ++r) {
+    const uint32_t bucket = ranked[r];
+    const double value = values[bucket];
+    const uint32_t count = s.counts[bucket];
+    if (cut && value <= cutoff) {
+      left_out.count += count;
+      left_out.max = std::max(left_out.max, value);
+      s.counts[bucket] = kLeftOut;
+      continue;
+    }
+    if (r == 0 || !SameRank(value, values[ranked[r - 1]])) {
+      s.cursors.push_back(next);
+    }
+    s.counts[bucket] = static_cast<uint32_t>(s.cursors.size() - 1);
     next += count;
   }
 
-  // Pass 3: scatter in ascending index, so equal keys keep index order.
+  const uint32_t* const key_buckets = s.key_buckets.data();
+  const uint32_t* const groups = s.counts.data();
+  uint32_t* const cursors = s.cursors.data();
+  uint32_t* const out = order->data();
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t id = s.key_ids[i];
-    if (id != kLeftOut) (*order)[starts[id]++] = static_cast<uint32_t>(i);
+    const uint32_t group = groups[key_buckets[i]];
+    if (group != kLeftOut) out[cursors[group]++] = static_cast<uint32_t>(i);
   }
   order->resize(n - left_out.count);
   return left_out;
+}
+
+}  // namespace
+
+MBI_HOT void AssignBoundCells(const int32_t* match, const int32_t* dist,
+                              size_t n, const SimilarityFunction& f,
+                              EntryOrderScratch* scratch) {
+  EntryOrderScratch& s = *scratch;
+  PrepareBuckets(n, scratch);
+  if (s.bucket_cells.size() < n) s.bucket_cells.resize(n);
+  if (n == 0) return;
+
+  // The grid spans this pass's range of M' and D'.
+  int32_t min_match = match[0], max_match = match[0];
+  int32_t min_dist = dist[0], max_dist = dist[0];
+  for (size_t i = 1; i < n; ++i) {
+    min_match = std::min(min_match, match[i]);
+    max_match = std::max(max_match, match[i]);
+    min_dist = std::min(min_dist, dist[i]);
+    max_dist = std::max(max_dist, dist[i]);
+  }
+  const auto match_span =
+      static_cast<uint64_t>(static_cast<int64_t>(max_match) - min_match + 1);
+  const auto dist_span =
+      static_cast<uint64_t>(static_cast<int64_t>(max_dist) - min_dist + 1);
+  MBI_CHECK(match_span * dist_span < std::numeric_limits<uint32_t>::max());
+  const auto width = static_cast<uint32_t>(dist_span);
+  const size_t cells = match_span * dist_span;
+  s.grid.reserve(std::max({kMinGridCells, n, cells}));
+  if (s.grid.size() < cells) s.grid.resize(cells, 0u);
+
+  // Give each occupied cell a bucket on first appearance and count it.
+  uint32_t* const grid = s.grid.data();
+  uint32_t* const key_buckets = s.key_buckets.data();
+  uint32_t* const counts = s.counts.data();
+  uint32_t* const bucket_cells = s.bucket_cells.data();
+  uint32_t num_buckets = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t cell =
+        static_cast<uint32_t>(static_cast<int64_t>(match[i]) - min_match) *
+            width +
+        static_cast<uint32_t>(static_cast<int64_t>(dist[i]) - min_dist);
+    uint32_t bucket = grid[cell];
+    if (bucket == 0) {
+      bucket_cells[num_buckets] = cell;
+      counts[num_buckets] = 0;
+      bucket = ++num_buckets;
+      grid[cell] = bucket;
+    }
+    key_buckets[i] = bucket - 1;
+    ++counts[bucket - 1];
+  }
+
+  // One evaluation of f per occupied cell, and the grid cleared behind it.
+  s.values.resize(num_buckets);
+  for (uint32_t b = 0; b < num_buckets; ++b) {
+    const uint32_t cell = bucket_cells[b];
+    s.values[b] = f.Evaluate(
+                      static_cast<int>(min_match + int64_t{cell / width}),
+                      static_cast<int>(min_dist + int64_t{cell % width})) +
+                  0.0;
+    grid[cell] = 0;
+  }
+}
+
+MBI_HOT KeysLeftOut OrderByBoundCell(const int32_t* match, const int32_t* dist,
+                                     size_t n, const SimilarityFunction& f,
+                                     EntryOrderScratch* scratch,
+                                     std::vector<uint32_t>* order,
+                                     double cutoff) {
+  AssignBoundCells(match, dist, n, f, scratch);
+  return RankAndScatter(scratch, order, cutoff);
+}
+
+MBI_HOT KeysLeftOut OrderByKeyDescending(const double* keys, size_t n,
+                                         EntryOrderScratch* scratch,
+                                         std::vector<uint32_t>* order,
+                                         double cutoff) {
+  PrepareBuckets(n, scratch);
+  AssignKeyBuckets(keys, n, scratch);
+  return RankAndScatter(scratch, order, cutoff);
 }
 
 }  // namespace mbi

@@ -87,10 +87,14 @@ class QueryContext {
   std::vector<PackedTarget> packed_targets_;
   std::vector<int> counts_scratch_;  // r_j scratch for calculator rebinding.
 
-  // --- Entry ordering (counting sort over distinct keys, core/entry_order.h).
+  // --- Entry ordering (counting sort over cells or keys, core/entry_order.h).
   std::vector<uint32_t> entry_order_;  // Entry indices in visit order.
+  // One target under the bound order reads each entry's bound from its cell
+  // here (EntryOrderScratch::Key).
   EntryOrderScratch order_scratch_;
-  std::vector<double> optimistic_;  // Optimistic bound per entry index.
+  // Optimistic bound per entry index, filled only where it is not read from
+  // a cell: several targets (the mean), or the alternative order.
+  std::vector<double> entry_bounds_;
   std::vector<double> order_keys_;  // Sort keys for the alternative order.
   // SIMD bounds-kernel output, t-major: slot t * num_entries + i holds
   // target t's M_opt / D_opt for entry i. Parallel bound chunks write

@@ -106,9 +106,11 @@ Status ParsePages(SectionParser* parser, uint64_t expected_ids,
 /// condition that SignatureTable::Assemble, TransactionStore::FromParts, or
 /// PageStore::FromPages would abort on (a page backing two buckets among
 /// them), plus the referential checks (page membership, id ranges) that
-/// would otherwise crash a later query. When `database` is non-null the
-/// table must index exactly that database; a sound file over different data
-/// is kInvalidArgument, not corruption.
+/// would otherwise crash a later query, and bucket membership (each id in
+/// exactly one bucket, each entry's count and coordinate matching its
+/// bucket's ids) without which an entry's bounds would not cover its rows.
+/// When `database` is non-null the table must index exactly that database;
+/// a sound file over different data is kInvalidArgument, not corruption.
 Status ValidateParts(const std::string& path, const TableParts& parts,
                      const TransactionDatabase* database) {
   if (parts.cardinality == 0 ||
@@ -228,6 +230,57 @@ Status ValidateParts(const std::string& path, const TableParts& parts,
       backs_a_bucket[page] = true;
     }
   }
+  // Bucket membership, which the bounds rely on: each directory entry has a
+  // bucket of its own holding exactly its transaction_count ids, no id sits
+  // in two buckets (or twice in one), and every id's coordinate is its
+  // entry's. With the counts summing to the transaction count, each id then
+  // sits in exactly one entry's bucket.
+  constexpr uint32_t kNoEntry = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> entry_of_bucket(static_cast<size_t>(num_buckets),
+                                        kNoEntry);
+  for (size_t i = 0; i < parts.entries.size(); ++i) {
+    const uint32_t bucket = parts.entries[i].bucket;
+    if (entry_of_bucket[bucket] != kNoEntry) {
+      return Status::Corruption(path + ": bucket " + std::to_string(bucket) +
+                                " backs two directory entries");
+    }
+    entry_of_bucket[bucket] = static_cast<uint32_t>(i);
+  }
+  std::vector<bool> in_a_bucket(static_cast<size_t>(parts.num_transactions),
+                                false);
+  for (size_t bucket = 0; bucket < num_buckets; ++bucket) {
+    const uint32_t entry = entry_of_bucket[bucket];
+    uint64_t held = 0;
+    for (PageId page : parts.buckets[bucket]) {
+      const Page& view = parts.pages[page];
+      for (uint32_t slot = 0; slot < view.count; ++slot) {
+        const TransactionId id = parts.page_ids[view.first + slot];
+        if (in_a_bucket[id]) {
+          return Status::Corruption(path + ": transaction " +
+                                    std::to_string(id) +
+                                    " sits in two buckets");
+        }
+        in_a_bucket[id] = true;
+        ++held;
+        if (entry != kNoEntry &&
+            parts.coordinates[id] != parts.entries[entry].coordinate) {
+          return Status::Corruption(
+              path + ": transaction " + std::to_string(id) +
+              " has coordinate " + std::to_string(parts.coordinates[id]) +
+              " but sits in the bucket of entry " +
+              std::to_string(parts.entries[entry].coordinate));
+        }
+      }
+    }
+    if (entry != kNoEntry && held != parts.entries[entry].transaction_count) {
+      return Status::Corruption(
+          path + ": directory entry " +
+          std::to_string(parts.entries[entry].coordinate) + " counts " +
+          std::to_string(parts.entries[entry].transaction_count) +
+          " transactions but its bucket holds " + std::to_string(held));
+    }
+  }
+
   if (parts.page_of_transaction.size() != parts.num_transactions) {
     return Status::Corruption(path + ": page map covers " +
                               std::to_string(parts.page_of_transaction.size()) +

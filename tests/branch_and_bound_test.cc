@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <tuple>
+#include <vector>
 
 #include "baseline/sequential_scan.h"
+#include "core/bounds.h"
 #include "core/index_builder.h"
 #include "core/query_context.h"
 #include "gen/quest_generator.h"
@@ -425,6 +429,84 @@ TEST(FloorTest, EntriesBelowTheFloorSettledInBulkMatchTheVisitedOnes) {
   // front of the left-out entries.
   EXPECT_GT(bulk_pruned_queries, 0u);
   EXPECT_GT(stops_before_left_out, 0u);
+}
+
+// --- The cell order (core/entry_order.h) inside the engine ---
+
+/// Entry indices in the order a traced query visited them (a trace records
+/// every entry), read back through the directory's sorted coordinates.
+std::vector<uint32_t> TracedVisitOrder(const SignatureTable& table,
+                                       const NearestNeighborResult& result) {
+  std::vector<uint32_t> visited;
+  const auto& entries = table.entries();
+  for (const EntryTrace& entry : result.trace) {
+    const auto at = std::lower_bound(
+        entries.begin(), entries.end(), entry.coordinate,
+        [](const SignatureTable::Entry& e, Supercoordinate c) {
+          return e.coordinate < c;
+        });
+    visited.push_back(static_cast<uint32_t>(at - entries.begin()));
+  }
+  return visited;
+}
+
+TEST(CellOrderTest, VisitOrderIsTheStableSortOfTheBounds) {
+  // With one target the engine evaluates f once per (M', D') cell and ranks
+  // cells; the visit order must still be std::stable_sort of the entries by
+  // their bound f(M', D') descending (NaN last), and every traced bound f on
+  // the entry's own summary bound. The custom function has every hazard: many
+  // distinct cells of one value, -0.0 next to 0.0, +inf, and NaN.
+  Fixture fixture = MakeFixture(61, 10, 1, 2500, 6);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  const double inf = std::numeric_limits<double>::infinity();
+  CustomFamily hazards("hazards", [inf](int x, int y) {
+    if (x == 1) return std::numeric_limits<double>::quiet_NaN();
+    if (y == 0) return inf;
+    if (x == 0) return y % 2 == 0 ? -0.0 : 0.0;
+    return std::floor(4.0 * x / y) / 4.0;
+  });
+  MatchRatioFamily match_ratio;
+  InverseHammingFamily hamming;
+  CosineFamily cosine;
+  const SimilarityFamily* families[] = {&hazards, &match_ratio, &hamming,
+                                        &cosine};
+  SearchOptions traced;
+  traced.collect_trace = true;
+  QueryContext context;  // One context across families and targets.
+  NearestNeighborResult result;
+  const EntrySummaries summaries = fixture.table.summaries();
+  const size_t num_entries = fixture.table.entries().size();
+  for (const SimilarityFamily* family : families) {
+    for (const Transaction& target : fixture.queries) {
+      const auto f = family->ForTarget(target);
+      BoundCalculator calculator(
+          fixture.table.partition().CountsPerSignature(target),
+          fixture.table.activation_threshold());
+      std::vector<double> bounds(num_entries);
+      for (size_t i = 0; i < num_entries; ++i) {
+        const OptimisticBounds b = calculator.Compute(summaries, i);
+        bounds[i] = f->Evaluate(b.match_upper, b.dist_lower);
+      }
+      std::vector<uint32_t> expected(num_entries);
+      std::iota(expected.begin(), expected.end(), 0u);
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&bounds](uint32_t a, uint32_t b) {
+                         return bounds[a] > bounds[b] ||
+                                (std::isnan(bounds[b]) && !std::isnan(bounds[a]));
+                       });
+      engine.FindKNearest(target, *family, 4, traced, &context, &result);
+      ASSERT_EQ(result.trace.size(), num_entries);
+      EXPECT_EQ(TracedVisitOrder(fixture.table, result), expected)
+          << family->name();
+      for (size_t r = 0; r < num_entries; ++r) {
+        const double bound = bounds[expected[r]];
+        const double traced_bound = result.trace[r].optimistic_bound;
+        EXPECT_TRUE(traced_bound == bound ||
+                    (std::isnan(traced_bound) && std::isnan(bound)))
+            << family->name() << " rank " << r;
+      }
+    }
+  }
 }
 
 // --- Multi-target queries (paper §4.3) ---

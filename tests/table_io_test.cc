@@ -4,10 +4,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "gen/quest_generator.h"
+#include "storage/format.h"
 
 namespace mbi {
 namespace {
@@ -284,6 +287,187 @@ TEST(TableIoTest, RejectsDatabaseMismatch) {
   ASSERT_FALSE(wrong_universe.ok());
   EXPECT_EQ(wrong_universe.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+/// A table file's contents, section by section, as SaveSignatureTable writes
+/// them: tests tamper with these and write them back through
+/// ArtifactWriter, which checksums each section, so the file reaches the
+/// cross-section validation instead of failing its CRC.
+struct StoredTable {
+  uint32_t cardinality = 0;
+  uint32_t universe = 0;
+  uint32_t activation_threshold = 0;
+  uint32_t page_size = 0;
+  std::vector<uint32_t> signature_of_item;
+  std::vector<Supercoordinate> coordinates;
+  std::vector<SignatureTable::Entry> entries;
+  std::vector<std::vector<PageId>> buckets;
+  std::vector<uint32_t> used_bytes;
+  std::vector<std::vector<TransactionId>> page_ids;
+  std::vector<PageId> page_of_transaction;
+};
+
+StoredTable StoredPartsOf(const SignatureTable& table) {
+  StoredTable parts;
+  const SignaturePartition& partition = table.partition();
+  parts.cardinality = partition.cardinality();
+  parts.universe = partition.universe_size();
+  parts.activation_threshold =
+      static_cast<uint32_t>(table.activation_threshold());
+  parts.page_size = table.page_size_bytes();
+  for (ItemId item = 0; item < partition.universe_size(); ++item) {
+    parts.signature_of_item.push_back(partition.SignatureOf(item));
+  }
+  const TransactionStore& store = table.store();
+  for (TransactionId id = 0; id < table.num_indexed_transactions(); ++id) {
+    parts.coordinates.push_back(table.CoordinateOfTransaction(id));
+    parts.page_of_transaction.push_back(store.PageOfTransaction(id));
+  }
+  parts.entries = table.entries();
+  for (uint32_t b = 0; b < store.num_buckets(); ++b) {
+    const std::span<const PageId> pages = store.PagesOfBucket(b);
+    parts.buckets.emplace_back(pages.begin(), pages.end());
+  }
+  const PageStore& pages = store.page_store();
+  for (PageId page = 0; page < pages.size(); ++page) {
+    const std::span<const TransactionId> ids = pages.IdsOnPage(page);
+    parts.used_bytes.push_back(pages.pages()[page].used_bytes);
+    parts.page_ids.emplace_back(ids.begin(), ids.end());
+  }
+  return parts;
+}
+
+/// Writes `parts` in the v2 layout SaveSignatureTable uses (section ids 1-7).
+void WriteStoredTable(const StoredTable& parts, const std::string& path) {
+  ArtifactWriter writer(Env::Default(), path, kTableMagic);
+  ASSERT_TRUE(writer.Open().ok());
+  writer.BeginSection(1);
+  writer.PutU32(parts.cardinality);
+  writer.PutU32(parts.universe);
+  writer.PutU32(parts.activation_threshold);
+  writer.PutU32(parts.page_size);
+  writer.PutU64(parts.coordinates.size());
+  ASSERT_TRUE(writer.EndSection().ok());
+  writer.BeginSection(2);
+  writer.PutU32Span(parts.signature_of_item.data(),
+                    parts.signature_of_item.size());
+  ASSERT_TRUE(writer.EndSection().ok());
+  writer.BeginSection(3);
+  writer.PutU32Span(parts.coordinates.data(), parts.coordinates.size());
+  ASSERT_TRUE(writer.EndSection().ok());
+  writer.BeginSection(4);
+  writer.PutU64(parts.entries.size());
+  for (const SignatureTable::Entry& entry : parts.entries) {
+    writer.PutU32(entry.coordinate);
+    writer.PutU32(entry.transaction_count);
+    writer.PutU32(entry.bucket);
+  }
+  ASSERT_TRUE(writer.EndSection().ok());
+  writer.BeginSection(5);
+  writer.PutU64(parts.buckets.size());
+  for (const std::vector<PageId>& bucket : parts.buckets) {
+    writer.PutU32Span(bucket.data(), bucket.size());
+  }
+  ASSERT_TRUE(writer.EndSection().ok());
+  writer.BeginSection(6);
+  writer.PutU64(parts.page_ids.size());
+  for (size_t page = 0; page < parts.page_ids.size(); ++page) {
+    writer.PutU32(parts.used_bytes[page]);
+    writer.PutU32Span(parts.page_ids[page].data(),
+                      parts.page_ids[page].size());
+  }
+  ASSERT_TRUE(writer.EndSection().ok());
+  writer.BeginSection(7);
+  writer.PutU32Span(parts.page_of_transaction.data(),
+                    parts.page_of_transaction.size());
+  ASSERT_TRUE(writer.EndSection().ok());
+  ASSERT_TRUE(writer.Commit().ok());
+}
+
+/// The first three directory entries in the order their buckets are
+/// validated (bucket order): the tamper cases below place each corruption
+/// so that the check it targets is the first one to see it.
+std::vector<size_t> EntriesInBucketOrder(const StoredTable& parts) {
+  std::vector<size_t> order(parts.entries.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&parts](size_t x, size_t y) {
+    return parts.entries[x].bucket < parts.entries[y].bucket;
+  });
+  EXPECT_GE(order.size(), 3u);
+  order.resize(3);
+  return order;
+}
+
+class BucketMembershipTest : public ::testing::Test {
+ protected:
+  BucketMembershipTest()
+      : fixture_(MakeFixture(437, 800)),
+        parts_(StoredPartsOf(fixture_.table)),
+        path_(TempPath("table_membership.mbst")) {}
+  ~BucketMembershipTest() override { std::remove(path_.c_str()); }
+
+  /// Writes the (tampered) parts and loads them, expecting kCorruption with
+  /// `phrase` in the message.
+  void ExpectCorruption(const std::string& phrase) {
+    WriteStoredTable(parts_, path_);
+    const StatusOr<SignatureTable> loaded =
+        LoadSignatureTable(path_, fixture_.db);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find(phrase), std::string::npos)
+        << loaded.status().message();
+    EXPECT_EQ(VerifySignatureTableFile(path_).code(), StatusCode::kCorruption);
+  }
+
+  /// The first id on the first page of entry `e`'s bucket.
+  TransactionId FirstIdOf(size_t e) const {
+    const PageId page = parts_.buckets[parts_.entries[e].bucket].front();
+    return parts_.page_ids[page].front();
+  }
+
+  Fixture fixture_;
+  StoredTable parts_;
+  std::string path_;
+};
+
+TEST_F(BucketMembershipTest, UntamperedPartsWriteTheSavedFile) {
+  // The writer above reproduces SaveSignatureTable byte for byte, so what
+  // the tamper cases change is only what they tamper with.
+  const std::string saved = TempPath("table_membership_saved.mbst");
+  ASSERT_TRUE(SaveSignatureTable(fixture_.table, saved).ok());
+  WriteStoredTable(parts_, path_);
+  EXPECT_EQ(FileBytes(path_), FileBytes(saved));
+  EXPECT_TRUE(LoadSignatureTable(path_, fixture_.db).ok());
+  std::remove(saved.c_str());
+}
+
+TEST_F(BucketMembershipTest, RejectsATransactionInTwoBuckets) {
+  // Entry a's first row also listed in entry b's bucket, with b's count
+  // raised and one taken off entry c (validated after b) so the directory
+  // still sums to the row count; the row's page-map entry still points at
+  // a page that holds it.
+  const std::vector<size_t> e = EntriesInBucketOrder(parts_);
+  const PageId page = parts_.buckets[parts_.entries[e[1]].bucket].front();
+  parts_.page_ids[page].push_back(FirstIdOf(e[0]));
+  ++parts_.entries[e[1]].transaction_count;
+  --parts_.entries[e[2]].transaction_count;
+  ExpectCorruption("sits in two buckets");
+}
+
+TEST_F(BucketMembershipTest, RejectsAnEntryCountThatIsNotItsBucketSize) {
+  // One row's worth of count moved between two entries: the counts still
+  // sum to the row count, but neither matches its bucket.
+  const std::vector<size_t> e = EntriesInBucketOrder(parts_);
+  --parts_.entries[e[0]].transaction_count;
+  ++parts_.entries[e[1]].transaction_count;
+  ExpectCorruption("but its bucket holds");
+}
+
+TEST_F(BucketMembershipTest, RejectsARowWhoseCoordinateIsNotItsEntrys) {
+  // A row keeps its bucket but claims another entry's coordinate.
+  const std::vector<size_t> e = EntriesInBucketOrder(parts_);
+  parts_.coordinates[FirstIdOf(e[0])] = parts_.entries[e[1]].coordinate;
+  ExpectCorruption("but sits in the bucket of entry");
 }
 
 TEST(TableIoTest, RejectsCorruptAndTruncatedFiles) {

@@ -17,7 +17,12 @@ and the JSON result on the last line. A run fails the gate when
     metrics lack an end-to-end metric BENCHMARK.json declares.
 
 Timings are not judged: a smoke run on a shared runner is too short and too
-noisy for that, and BENCHMARK.json's bounds are checked on full runs.
+noisy for that, and BENCHMARK.json's bounds are checked on full runs. For
+each traced run the gate prints the reconcile margin, the unattributed
+`core.search_other_us` against `query.replay_mean_us`: the replayed parts
+are subtracted from the traced query mean, so an engine that gets faster
+than its replay drives that margin toward zero, and below zero the run is
+"correct": false.
 """
 
 import argparse
@@ -28,17 +33,32 @@ import sys
 HEADER_RE = re.compile(r"^mbi_perfbench .*\btrace=(\d)")
 
 
+def reconcile_margin(result):
+    """The reconcile margin line of a traced run, or None when the run has
+    no layer table."""
+    metrics = result.get("metrics") or {}
+    try:
+        other = float(metrics["core.search_other_us"]["value"])
+        mean = float(metrics["query.replay_mean_us"]["value"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    share = f"{100.0 * other / mean:.1f}%" if mean > 0 else "n/a"
+    return (f"reconcile margin: other {other:.1f} us of replay mean "
+            f"{mean:.1f} us ({share})")
+
+
 def check_run(path, end_to_end):
-    """Returns the list of problems found in one run's output."""
+    """Returns the list of problems found in one run's output, and the
+    reconcile margin line of a traced run (None otherwise)."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().rstrip("\n").split("\n")
     problems = []
     try:
         result = json.loads(lines[-1])
     except (json.JSONDecodeError, IndexError):
-        return ["no JSON result on the last line"]
+        return ["no JSON result on the last line"], None
     if not isinstance(result, dict):
-        return ["the last line is not a JSON object"]
+        return ["the last line is not a JSON object"], None
     if result.get("correct") is not True:
         problems.append(f'"correct": {json.dumps(result.get("correct"))}')
     failed = result.get("failed")
@@ -60,7 +80,8 @@ def check_run(path, end_to_end):
         for name in end_to_end:
             if name not in metrics:
                 problems.append(f"end-to-end metric {name} missing")
-    return problems
+    margin = reconcile_margin(result) if trace == 1 else None
+    return problems, margin
 
 
 def main(argv):
@@ -78,9 +99,11 @@ def main(argv):
 
     failures = 0
     for path in args.runs:
-        problems = check_run(path, end_to_end)
+        problems, margin = check_run(path, end_to_end)
         status = "FAIL" if problems else "ok"
         print(f"[{status}] {path}")
+        if margin is not None:
+            print(f"    {margin}")
         for problem in problems:
             print(f"    {problem}")
         failures += bool(problems)
