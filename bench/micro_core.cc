@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the core index operations: similarity
 // primitives, bound computation, supercoordinate mapping, table construction,
-// the per-query bound pass plus entry ordering, and end-to-end query latency
-// vs signature cardinality.
+// the per-query bound pass plus entry ordering, end-to-end query latency vs
+// signature cardinality, and the sequential-scan k-NN.
 
 #include <benchmark/benchmark.h>
 
@@ -9,11 +9,13 @@
 #include <memory>
 #include <vector>
 
+#include "baseline/sequential_scan.h"
 #include "core/branch_and_bound.h"
 #include "core/bounds.h"
 #include "core/entry_order.h"
 #include "core/index_builder.h"
 #include "gen/quest_generator.h"
+#include "txn/candidate_layout.h"
 
 namespace mbi {
 namespace {
@@ -93,9 +95,6 @@ void BM_BoundComputation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundComputation)->Arg(10)->Arg(15)->Arg(20);
-
-/// The paper's §5 setting (T10.I6.D200K, K = 15, r = 1): 200K rows, the
-/// table over them, and 64 in-distribution targets.
 TransactionDatabase PaperDatabase(QuestGenerator* generator) {
   return generator->GenerateDatabase(200'000);
 }
@@ -181,6 +180,32 @@ void BM_BoundPassAndOrder(benchmark::State& state) {
 BENCHMARK(BM_BoundPassAndOrder)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
+
+/// One exact k-NN (k = 15) by SequentialScanner over the 200K paper rows,
+/// the scan path every row of the database goes through: arg 1 = 0 scores
+/// through the per-row probe (the layout-free oracle form), 1 through the
+/// SIMD row kernel over a blocked layout. Arg 0 picks the family as in
+/// BM_BoundPassAndOrder.
+void BM_SequentialScanKnn(benchmark::State& state) {
+  const PaperData& data = PaperData::Get();
+  static const InverseHammingFamily hamming;
+  static const MatchRatioFamily match_ratio;
+  static const CosineFamily cosine;
+  const SimilarityFamily* const families[] = {&hamming, &match_ratio, &cosine};
+  const SimilarityFamily& family = *families[state.range(0)];
+  static const CandidateLayout layout = CandidateLayout::Build(data.db);
+  const SequentialScanner scanner(&data.db,
+                                  state.range(1) != 0 ? &layout : nullptr);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scanner.FindKNearest(
+        data.targets[i++ % data.targets.size()], family, 15));
+  }
+  state.counters["rows"] = static_cast<double>(data.db.size());
+}
+BENCHMARK(BM_SequentialScanKnn)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TableBuild(benchmark::State& state) {
   const SharedData& data = SharedData::Get();

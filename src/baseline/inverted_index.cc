@@ -1,10 +1,10 @@
 #include "baseline/inverted_index.h"
 
 #include <algorithm>
-#include <limits>
+#include <span>
 #include <unordered_set>
 
-#include "txn/packed_target.h"
+#include "core/row_scorer.h"
 #include "util/macros.h"
 
 namespace mbi {
@@ -78,7 +78,9 @@ InvertedIndex::Result InvertedIndex::FindKNearest(
   MBI_CHECK(k >= 1);
   ScopedTimer timer(nullptr);
   Result result;
-  std::unique_ptr<SimilarityFunction> similarity = family.ForTarget(target);
+  RowScorer scorer;
+  scorer.Bind({&target, 1}, family, database_->universe_size(), &layout_);
+  const SimilarityFunction& similarity = scorer.function(0);
 
   std::vector<TransactionId> candidates = Candidates(target);
   result.candidates = candidates.size();
@@ -92,90 +94,50 @@ InvertedIndex::Result InvertedIndex::FindKNearest(
   // whose f vanishes at x = 0 (match ratio, cosine) as long as at least one
   // candidate exists; inverse Hamming violates it structurally.
   result.candidates_complete =
-      !candidates.empty() && similarity->Evaluate(0, 1) == 0.0 &&
-      similarity->Evaluate(0, 0) == 0.0;
+      !candidates.empty() && similarity.Evaluate(0, 1) == 0.0 &&
+      similarity.Evaluate(0, 0) == 0.0;
 
   // Phase 2: fetch candidates in id order through an optional buffer pool,
-  // tracking the distinct pages the scattered fetches touch. Re-ranking
-  // runs the SIMD match kernel over the layout (bit-identical to the merge
-  // scan); candidates come from postings built with it, so it covers them.
-  PackedTarget packed;
-  packed.Assign(target, database_->universe_size(), &layout_);
+  // tracking the distinct pages the scattered fetches touch, and re-rank
+  // them into a bounded top-k. Re-ranking runs the row scorer's gather SIMD
+  // kernel over the layout (bit-identical to the merge scan); candidates
+  // come from postings built with it, so it covers them. Ids are sorted
+  // ascending, so the kernel's row prefetch still streams forward. The
+  // budget is checked between kScanChunk-candidate slices, never before the
+  // first (ScanInChunks), so a degraded answer always carries real
+  // candidates; one scored candidate costs one "entry" against max_entries
+  // (the same unit as branch-and-bound and the sequential scanner).
   BufferPool pool(&sequential_store_.page_store(), buffer_pool_pages_);
   pool.set_metrics(metrics_registry_);
   std::unordered_set<PageId> touched;
-  std::vector<Neighbor> scored;
-  scored.reserve(candidates.size());
-  // Phase 2 in kScanChunk-candidate slices: each slice goes through one
-  // gather-form kernel batch (ids are sorted ascending, so the kernel's row
-  // prefetch still streams forward), and the budget is checked between
-  // slices — never before the first, so a degraded answer always carries
-  // real candidates. One scored candidate costs one "entry" against
-  // max_entries (same unit as branch-and-bound and the sequential scanner;
-  // overshoot bounded at kScanChunk - 1 by the per-slice check).
-  const size_t num_candidates = candidates.size();
-  const bool budget_limited = budget.limited();
-  QueryTermination termination = QueryTermination::kCompleted;
-  uint64_t rows_scanned = 0;
-  uint32_t chunk_match[kScanChunk];
-  uint32_t chunk_hamming[kScanChunk];
-  for (size_t base = 0; base < num_candidates; base += kScanChunk) {
-    if (budget_limited && rows_scanned > 0) {
-      if (budget.cancelled()) {
-        termination = QueryTermination::kCancelled;
-        break;
-      }
-      if (rows_scanned >= budget.max_entries) {
-        termination = QueryTermination::kEntryBudget;
-        break;
-      }
-      if (budget.deadline_expired()) {
-        termination = QueryTermination::kDeadline;
-        break;
-      }
-    }
-    const size_t len = std::min(kScanChunk, num_candidates - base);
-    packed.MatchAndHammingBatch(candidates.data() + base, len, chunk_match,
-                                chunk_hamming);
-    for (size_t i = 0; i < len; ++i) {
-      const TransactionId id = candidates[base + i];
-      touched.insert(sequential_store_.PageOfTransaction(id));
-      sequential_store_.FetchTransaction(
-          id, buffer_pool_pages_ > 0 ? &pool : nullptr, &result.io);
-      scored.push_back(
-          {id, similarity->Evaluate(static_cast<int>(chunk_match[i]),
-                                    static_cast<int>(chunk_hamming[i]))});
-    }
-    rows_scanned += len;
-  }
+  TopKSink top_k{k, &result.neighbors};
+  const ScanOutcome outcome = ScanInChunks(
+      candidates.size(), budget, [&](size_t begin, size_t count) {
+        const std::span<const TransactionId> chunk(candidates.data() + begin,
+                                                   count);
+        scorer.ScoreIds(chunk, top_k);
+        for (const TransactionId id : chunk) {
+          touched.insert(sequential_store_.PageOfTransaction(id));
+          sequential_store_.FetchTransaction(
+              id, buffer_pool_pages_ > 0 ? &pool : nullptr, &result.io);
+        }
+      });
   result.pages_touched = touched.size();
   result.pages_total = sequential_store_.page_store().size();
 
-  // Budget accounting + certificate (the same f(|target|, 0) pointwise bound
-  // the sequential scanner uses; phase-1 completeness is reported separately
+  // Budget accounting + certificate (the pointwise f(|target|, 0) bound the
+  // sequential scanner uses; phase-1 completeness is reported separately
   // via candidates_complete). Entries are counted in candidate rows, the
   // common unit across every query path (DESIGN.md §13).
-  result.stats.database_size = database_->size();
-  result.stats.entries_total = num_candidates;
-  result.stats.entries_scanned = rows_scanned;
-  result.stats.entries_unexplored =
-      result.stats.entries_total - rows_scanned;
-  result.stats.transactions_evaluated = scored.size();
-  result.stats.termination = termination;
-  result.stats.is_exact = termination == QueryTermination::kCompleted;
-  result.stats.certificate_bound =
-      result.stats.is_exact
-          ? -std::numeric_limits<double>::infinity()
-          : similarity->Evaluate(static_cast<int>(target.size()), 0);
+  FillScanStats(outcome, top_k.scored, database_->size(),
+                scorer.PointwiseBound(), &result.stats);
 
   // Every page pin taken during phase 2 must have been released, and the
   // pool's LRU bookkeeping must have survived the scattered access pattern.
   MBI_CHECK_EQ(pool.total_pins(), 0u);
   MBI_DCHECK((pool.CheckInvariants(), true));
 
-  std::sort(scored.begin(), scored.end(), BestFirst());
-  if (scored.size() > k) scored.resize(k);
-  result.neighbors = std::move(scored);
+  std::sort(result.neighbors.begin(), result.neighbors.end(), BestFirst());
   result.stats.io = result.io;
   if (metrics_.queries != nullptr) {
     metrics_.queries->Increment();

@@ -6,6 +6,7 @@
 
 #include "baseline/compressed_postings.h"
 #include "core/branch_and_bound.h"
+#include "core/row_scorer.h"
 #include "core/similarity.h"
 #include "storage/buffer_pool.h"
 #include "storage/transaction_store.h"
@@ -93,7 +94,7 @@ class InvertedIndex {
                       size_t k, const QueryBudget& budget) const;
 
   /// Candidates re-ranked per budget check in phase 2.
-  static constexpr size_t kScanChunk = 256;
+  static constexpr size_t kScanChunk = kRowChunk;
 
   /// TID list of one item (decodes when the index is compressed).
   std::vector<TransactionId> PostingsOf(ItemId item) const;

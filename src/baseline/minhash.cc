@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/row_scorer.h"
 #include "core/similarity.h"
 #include "util/macros.h"
 #include "util/rng.h"
@@ -102,19 +103,16 @@ MinHashIndex::Result MinHashIndex::FindKNearestJaccard(
                          : static_cast<double>(candidates.size()) /
                                static_cast<double>(database_->size());
 
-  // Phase 2: exact Jaccard re-rank of the candidates.
-  JaccardSimilarity jaccard;
-  std::vector<Neighbor> scored;
-  scored.reserve(candidates.size());
+  // Phase 2: exact Jaccard re-rank of the candidates into a bounded top-k,
+  // through the row scorer's per-row probe (the index keeps no layout).
+  RowScorer scorer;
+  scorer.Bind({&target, 1}, JaccardFamily(), database_->universe_size(),
+              /*layout=*/nullptr);
+  TopKSink top_k{k, &result.neighbors};
   for (TransactionId id : candidates) {
-    size_t match = 0, hamming = 0;
-    MatchAndHamming(target, database_->Get(id), &match, &hamming);
-    scored.push_back({id, jaccard.Evaluate(static_cast<int>(match),
-                                           static_cast<int>(hamming))});
+    top_k(id, scorer.Score(database_->Get(id)));
   }
-  std::sort(scored.begin(), scored.end(), BestFirst());
-  if (scored.size() > k) scored.resize(k);
-  result.neighbors = std::move(scored);
+  std::sort(result.neighbors.begin(), result.neighbors.end(), BestFirst());
   return result;
 }
 

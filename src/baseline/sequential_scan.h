@@ -1,14 +1,15 @@
 #ifndef MBI_BASELINE_SEQUENTIAL_SCAN_H_
 #define MBI_BASELINE_SEQUENTIAL_SCAN_H_
 
+#include <span>
 #include <vector>
 
 #include "core/branch_and_bound.h"
+#include "core/row_scorer.h"
 #include "core/similarity.h"
 #include "storage/io_stats.h"
 #include "txn/database.h"
 #include "txn/delete_mask.h"
-#include "txn/packed_target.h"
 #include "util/hot_path.h"
 #include "util/macros.h"
 #include "util/metrics.h"
@@ -24,10 +25,17 @@ namespace mbi {
 /// page reads as if streaming a sequential layout with the given page size —
 /// both FindKNearest and FindInRange use the same charging model, so the
 /// quarantine fallback reports real I/O for range queries too.
+///
+/// Every entry point runs the same scan loop through the shared row scorer
+/// (core/row_scorer.h), the arithmetic every query path uses: the k-NN
+/// forms keep a bounded top-k (OfferToTopK, equal to sort-then-truncate
+/// over a full scan, ids included), the range forms collect the rows at or
+/// above the threshold, and no form materialises every scanned row. The
+/// vector-returning forms are thin wrappers over the budget-aware ones.
 class SequentialScanner {
  public:
   /// With a non-null `layout` (a blocked candidate bitmap, see
-  /// txn/candidate_layout.h), single-target scans stream the dense rows
+  /// txn/candidate_layout.h), scans stream the dense rows
   /// through the runtime-dispatched SIMD match kernel in fixed-size chunks.
   /// The layout must cover every database row when a query runs; a scan
   /// over a database that outgrew it aborts. The default (null) keeps the
@@ -74,16 +82,7 @@ class SequentialScanner {
                    uint32_t page_size_bytes = 4096) const;
 
   /// Rows scored per budget check in the budget-aware scans.
-  static constexpr size_t kScanChunk = 256;
-
-  /// How far a budgeted scan got: row accounting feeds the entries_* stats
-  /// (row units — the stats-unit contract in DESIGN.md §13.4), termination
-  /// the certificate.
-  struct ScanOutcome {
-    QueryTermination termination = QueryTermination::kCompleted;
-    uint64_t rows_total = 0;
-    uint64_t rows_scanned = 0;
-  };
+  static constexpr size_t kScanChunk = kRowChunk;
 
   /// Exact multi-target variant: maximizes average similarity to `targets`.
   std::vector<Neighbor> FindKNearestMultiTarget(
@@ -107,18 +106,28 @@ class SequentialScanner {
 
   void RecordScan(bool is_range, double elapsed_us) const;
 
-  /// The scan's inner loop: scores transactions against the packed target in
-  /// kScanChunk-row chunks, appending to the caller-owned `scored` buffer
-  /// and charging the streaming I/O model, until the database is exhausted
-  /// or `budget` expires (checked between chunks, always after at least one
-  /// chunk). MBI_HOT: growth of `*scored` aside, the loop must not allocate
-  /// (util/hot_path.h).
-  MBI_HOT ScanOutcome ScoreAllCandidates(const PackedTarget& packed,
-                                         const SimilarityFunction& similarity,
-                                         IoStats* stats,
-                                         uint32_t page_size_bytes,
-                                         const QueryBudget& budget,
-                                         std::vector<Neighbor>* scored) const;
+  /// The k-NN scan behind every k-NN entry point: `*result` is refilled
+  /// (stats included) and I/O is charged to `io` (nullable).
+  void KNearest(std::span<const Transaction> targets,
+                const SimilarityFamily& family, size_t k,
+                const QueryBudget& budget, IoStats* io,
+                uint32_t page_size_bytes, NearestNeighborResult* result) const;
+
+  /// The range scan behind both range entry points (see KNearest).
+  void InRange(const Transaction& target, const SimilarityFamily& family,
+               double threshold, const QueryBudget& budget, IoStats* io,
+               uint32_t page_size_bytes, RangeQueryResult* result) const;
+
+  /// The one scan loop: every row in id order, kScanChunk rows per budget
+  /// check (ScanInChunks), each row charged to the streaming I/O model and
+  /// each live one scored by the bound `scorer` into `sink` (TopKSink or
+  /// RangeSink) — through the SIMD row kernel with a layout, through the
+  /// per-row probe without. MBI_HOT: growth of the sink's vector aside, the
+  /// loop must not allocate (util/hot_path.h).
+  template <typename Sink>
+  MBI_HOT void Scan(RowScorer& scorer, const QueryBudget& budget, IoStats* io,
+                    uint32_t page_size_bytes, Sink& sink,
+                    QueryStats* stats) const;
 
   /// The layout this query scans, or null for the probe path. A bound
   /// layout must cover every current database row.

@@ -1,8 +1,11 @@
 #ifndef MBI_CORE_BATCH_QUERY_H_
 #define MBI_CORE_BATCH_QUERY_H_
 
+#include <atomic>
 #include <cstddef>
 #include <deque>
+#include <latch>
+#include <optional>
 #include <vector>
 
 #include "core/branch_and_bound.h"
@@ -20,6 +23,59 @@ namespace mbi {
 struct BatchQueryWorkspace {
   std::deque<QueryContext> contexts;
 };
+
+/// The batch shard policy, shared by every batch entry point: with `pool`,
+/// its worker count, capped by `num_threads` when that is non-zero; without
+/// one, `num_threads` (0 = hardware concurrency); never more shards than
+/// `count`.
+size_t BatchShardCount(size_t count, size_t num_threads,
+                       const ThreadPool* pool);
+
+/// Runs `query(context, i)` for every i in [0, count) over
+/// BatchShardCount(count, num_threads, pool) shards, each with its own
+/// context from `*contexts` (grown as needed; a deque, so growth never
+/// moves a warm context). One shard runs the serial loop on the calling
+/// thread and allocates nothing once `*contexts` is warm. More shards run on
+/// `pool`, or on a call-local pool of that many workers when `pool` is null,
+/// and claim indices off a shared cursor so uneven query costs balance
+/// dynamically. `query` must write only state owned by index i, so the
+/// outcome is identical to the serial loop for any shard count. A std::latch
+/// (rather than ThreadPool::Wait) scopes the wait to this call's own tasks,
+/// so a pool shared between concurrent batches works.
+template <typename Context, typename Query>
+void RunSharded(size_t count, size_t num_threads, ThreadPool* pool,
+                std::deque<Context>* contexts, const Query& query) {
+  if (count == 0) return;
+  const size_t shards = BatchShardCount(count, num_threads, pool);
+  while (contexts->size() < shards) contexts->emplace_back();
+  if (shards == 1) {
+    Context& context = contexts->front();
+    for (size_t i = 0; i < count; ++i) query(context, i);
+    return;
+  }
+  std::optional<ThreadPool> owned_pool;
+  if (pool == nullptr) {
+    owned_pool.emplace(shards);
+    pool = &*owned_pool;
+  }
+  // No mutex here by design (and none to annotate): every index is claimed
+  // once off the atomic cursor, per-shard contexts are never shared, and the
+  // latch supplies the final happens-before edge back to this thread.
+  std::atomic<size_t> cursor{0};
+  std::latch done(static_cast<std::ptrdiff_t>(shards));
+  for (size_t shard = 0; shard < shards; ++shard) {
+    pool->Submit([&, shard] {
+      Context& context = (*contexts)[shard];
+      for (;;) {
+        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) break;
+        query(context, i);
+      }
+      done.count_down();
+    });
+  }
+  done.wait();
+}
 
 /// Answers many independent k-NN queries against one engine concurrently.
 ///

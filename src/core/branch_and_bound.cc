@@ -9,6 +9,7 @@
 #include "core/bounds.h"
 #include "core/entry_order.h"
 #include "core/query_context.h"
+#include "core/row_scorer.h"
 #include "txn/packed_target.h"
 #include "util/macros.h"
 
@@ -73,27 +74,21 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   result.trace.clear();
   result.stats = QueryStats{};
 
-  // Bind the similarity function, bound calculator, and packed bitmap to
-  // each target, reusing the context's buffers. RebindTarget re-targets a
-  // warm function object in place (built-in families), so with a warm
-  // context this loop allocates nothing; slots beyond num_targets keep
-  // their bindings but never participate (all loops run to num_targets).
-  if (ctx.functions_.size() < num_targets) {
-    ctx.functions_.resize(num_targets);
-  }
+  // Bind the row scorer (similarity functions and packed bitmaps) and the
+  // bound calculator to each target, reusing the context's buffers.
+  // RebindTarget re-targets a warm function object in place (built-in
+  // families), so with a warm context this allocates nothing; slots beyond
+  // num_targets keep their bindings but never participate (all loops run to
+  // num_targets).
+  RowScorer& scorer = ctx.scorer_;
+  scorer.Bind(targets, family, database_->universe_size(), layout_);
   if (ctx.calculators_.size() < num_targets) {
     ctx.calculators_.resize(num_targets);
   }
-  if (ctx.packed_targets_.size() < num_targets) {
-    ctx.packed_targets_.resize(num_targets);
-  }
   for (size_t t = 0; t < num_targets; ++t) {
-    family.RebindTarget(targets[t], &ctx.functions_[t]);
     table_->partition().CountsPerSignature(targets[t], &ctx.counts_scratch_);
     ctx.calculators_[t].Reset(ctx.counts_scratch_,
                               table_->activation_threshold());
-    ctx.packed_targets_[t].Assign(targets[t], database_->universe_size(),
-                                  layout_);
   }
   const double target_count = static_cast<double>(num_targets);
 
@@ -153,7 +148,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     // so f runs once per occupied cell and an entry's bound is read back
     // from its cell (EntryOrderScratch::Key).
     below = OrderByBoundCell(ctx.bound_match_.data(), ctx.bound_dist_.data(),
-                             num_entries, *ctx.functions_[0],
+                             num_entries, scorer.function(0),
                              &ctx.order_scratch_, &ctx.entry_order_, cutoff);
   } else {
     // The mean over targets: each f_t still runs once per occupied cell of
@@ -165,7 +160,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
       const size_t base = t * num_entries;
       AssignBoundCells(ctx.bound_match_.data() + base,
                        ctx.bound_dist_.data() + base, num_entries,
-                       *ctx.functions_[t], &ctx.order_scratch_);
+                       scorer.function(t), &ctx.order_scratch_);
       for (size_t i = 0; i < num_entries; ++i) {
         ctx.entry_bounds_[i] += ctx.order_scratch_.Key(i);
       }
@@ -185,7 +180,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
         int match = 0, hamming = 0;
         SupercoordinateMatchAndHamming(entries[i].coordinate,
                                        target_coordinate, &match, &hamming);
-        ctx.order_keys_[i] = ctx.functions_[0]->Evaluate(match, hamming);
+        ctx.order_keys_[i] = scorer.function(0).Evaluate(match, hamming);
       }
       keys = ctx.order_keys_.data();
     }
@@ -222,36 +217,12 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
         knn_heap.size() == k ? knn_heap.front().similarity : kNegInfinity,
         floor);
   };
-  auto finish_candidate = [&](TransactionId id, double similarity) {
-    ++result.stats.transactions_evaluated;
-    OfferToTopK({id, similarity}, k, &knn_heap);
-  };
-  // Batched evaluation of one entry's candidate list through the SIMD
-  // match kernel. Integer x/y per candidate, targets accumulated in
-  // ascending t, and the sum divided (not multiplied by a reciprocal) so
-  // each score is bit-identical to an oracle computing sum / n — ties then
-  // compare exactly. Proven at the engine level by kernel_test.cc's
-  // forced-ISA sweep against the frozen reference (tests/reference_knn.h).
-  auto evaluate_candidates_batch = [&](const TransactionId* ids, size_t n) {
-    if (ctx.match_scratch_.size() < n) {
-      ctx.match_scratch_.resize(n);
-      ctx.hamming_scratch_.resize(n);
-    }
-    if (ctx.score_scratch_.size() < n) ctx.score_scratch_.resize(n);
-    std::fill_n(ctx.score_scratch_.begin(), n, 0.0);
-    for (size_t t = 0; t < num_targets; ++t) {
-      ctx.packed_targets_[t].MatchAndHammingBatch(
-          ids, n, ctx.match_scratch_.data(), ctx.hamming_scratch_.data());
-      for (size_t i = 0; i < n; ++i) {
-        ctx.score_scratch_[i] += ctx.functions_[t]->Evaluate(
-            static_cast<int>(ctx.match_scratch_[i]),
-            static_cast<int>(ctx.hamming_scratch_[i]));
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      finish_candidate(ids[i], ctx.score_scratch_[i] / target_count);
-    }
-  };
+  // Each scanned entry's rows go through the row scorer into the k-heap
+  // (core/row_scorer.h: integer x/y per row from the SIMD match kernel,
+  // targets accumulated in ascending t and the sum divided by n, so every
+  // score is bit-identical to the frozen reference's sum / n and ties
+  // compare exactly — kernel_test.cc's forced-ISA sweep proves it).
+  TopKSink top_k{k, &knn_heap};
 
   auto record_trace = [&](uint32_t entry_index, EntryTrace::Action action) {
     if (!options.collect_trace) return;
@@ -277,19 +248,9 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     // on; with one, pruned entries cost nothing and the caller already
     // holds k rows.
     if (budget_limited && result.stats.entries_scanned > 0) {
-      if (qbudget.cancelled()) {
+      termination = qbudget.Check(result.stats.entries_scanned);
+      if (termination != QueryTermination::kCompleted) {
         terminated_early = true;
-        termination = QueryTermination::kCancelled;
-        break;
-      }
-      if (result.stats.entries_scanned >= qbudget.max_entries) {
-        terminated_early = true;
-        termination = QueryTermination::kEntryBudget;
-        break;
-      }
-      if (qbudget.deadline_expired()) {
-        terminated_early = true;
-        termination = QueryTermination::kDeadline;
         break;
       }
     }
@@ -331,8 +292,8 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
         table_->EntryTransactions(entry_index, &result.stats.io);
     ++result.stats.entries_scanned;
     if (deleted_ != nullptr) ids = LiveIds(ids, &ctx.candidate_ids_);
-    evaluate_candidates_batch(ids.data(), ids.size());
-    if (result.stats.transactions_evaluated >= budget &&
+    scorer.ScoreIds(ids, top_k);
+    if (top_k.scored >= budget &&
         (cursor < num_ordered || below_left > 0)) {
       terminated_early = true;
       termination = QueryTermination::kAccessFraction;
@@ -360,6 +321,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   // have been pruned, so the test then passes only when every entry was
   // scanned — which is exactly right when fewer than k rows are live. With a
   // floor the caller's k rows stand in for the missing ones.
+  result.stats.transactions_evaluated = top_k.scored;
   result.stats.termination = termination;
   result.stats.certificate_bound = std::max(max_pruned_bound, unexplored_bound);
   result.stats.is_exact = result.stats.certificate_bound <= pessimistic();
@@ -433,16 +395,8 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
       // Same min-one-entry guarantee as the k-NN search: the budget can only
       // cut the enumeration after the first scanned entry, so a degraded
       // range answer is never structurally empty.
-      if (qbudget.cancelled()) {
-        terminated_early = true;
-        termination = QueryTermination::kCancelled;
-      } else if (result.stats.entries_scanned >= qbudget.max_entries) {
-        terminated_early = true;
-        termination = QueryTermination::kEntryBudget;
-      } else if (qbudget.deadline_expired()) {
-        terminated_early = true;
-        termination = QueryTermination::kDeadline;
-      }
+      termination = qbudget.Check(result.stats.entries_scanned);
+      terminated_early = termination != QueryTermination::kCompleted;
     }
     if (terminated_early) {
       ++result.stats.entries_unexplored;

@@ -165,8 +165,11 @@ struct RangeQueryResult {
 /// distinct sort keys (core/entry_order.h), O(E + D log D) rather than a
 /// full O(E log E) sort; per-query scratch lives in a caller-suppliable
 /// QueryContext so repeated queries allocate nothing on the steady state;
-/// and candidate evaluation runs the SIMD match kernel over a blocked
-/// candidate layout instead of merge-scanning item vectors. All of
+/// and each scanned entry's rows are scored by the row scorer every query
+/// path shares (core/row_scorer.h): the SIMD match kernel over a blocked
+/// candidate layout instead of merge-scanning item vectors, into a bounded
+/// top-k. The range searches keep their own loop (FindInRangeMulti's
+/// conjunctive multi-family test is a different shape). All of
 /// it is bit-identical to the straightforward sort-everything merge-scan
 /// implementation, which tests/reference_knn.h keeps frozen as the oracle
 /// oracle_equivalence_test.cc pins this engine against.

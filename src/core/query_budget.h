@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "core/query_stats.h"
 #include "util/deadline_clock.h"
 
 namespace mbi {
@@ -59,6 +60,20 @@ struct QueryBudget {
   bool deadline_expired() const {
     return deadline_us != std::numeric_limits<double>::infinity() &&
            effective_clock()->NowUs() >= deadline_us;
+  }
+
+  /// The one budget poll every query loop runs: kCompleted while the budget
+  /// holds after `scanned` units of the path's scan unit, else the limit
+  /// that tripped, tested cancel -> entry cap -> deadline (a cap and a
+  /// deadline tripping at the same check report kEntryBudget, and a tripped
+  /// cap reads no clock). Callers keep the min-one rule themselves: they
+  /// poll only once at least one unit has been scanned, so a degraded
+  /// answer always carries real candidates.
+  QueryTermination Check(uint64_t scanned) const {
+    if (cancelled()) return QueryTermination::kCancelled;
+    if (scanned >= max_entries) return QueryTermination::kEntryBudget;
+    if (deadline_expired()) return QueryTermination::kDeadline;
+    return QueryTermination::kCompleted;
   }
 
   /// Budget with an absolute deadline `ms` milliseconds from `clock`'s now

@@ -8,9 +8,7 @@
 #include "core/bounds.h"
 #include "core/branch_and_bound.h"
 #include "core/entry_order.h"
-#include "core/similarity.h"
-#include "txn/packed_target.h"
-#include "txn/transaction.h"
+#include "core/row_scorer.h"
 #include "util/thread_pool.h"
 
 namespace mbi {
@@ -20,7 +18,7 @@ namespace mbi {
 /// The engine itself is stateless and read-only; everything a query needs at
 /// runtime — bound-calculator tables, the entry visit order and its
 /// counting-sort scratch, the live-id scratch buffer, the k-nearest
-/// heap, the packed target bitmaps — lives here. A caller that answers many
+/// heap, the row scorer with its packed target bitmaps — lives here. A caller that answers many
 /// queries (batch mode, benchmarks, the `mbi query` CLI loop) constructs one
 /// context and passes it to every call, together with a result object the
 /// engine refills in place. After the first few queries have grown the
@@ -82,9 +80,10 @@ class QueryContext {
   friend class BranchAndBoundEngine;
 
   // --- Per-target bindings (rebound at query entry). ---
-  std::vector<std::unique_ptr<SimilarityFunction>> functions_;
+  // The similarity functions, packed targets and match scratch the entries'
+  // rows are scored with (core/row_scorer.h).
+  RowScorer scorer_;
   std::vector<BoundCalculator> calculators_;
-  std::vector<PackedTarget> packed_targets_;
   std::vector<int> counts_scratch_;  // r_j scratch for calculator rebinding.
 
   // --- Entry ordering (counting sort over cells or keys, core/entry_order.h).
@@ -106,11 +105,6 @@ class QueryContext {
   // One entry's live ids, filled only by an engine bound to a DeleteMask;
   // otherwise the engine scores the table's own span.
   std::vector<TransactionId> candidate_ids_;
-  // SIMD match-kernel output for one entry's candidate batch, plus the
-  // per-candidate similarity accumulator across targets.
-  std::vector<uint32_t> match_scratch_;
-  std::vector<uint32_t> hamming_scratch_;
-  std::vector<double> score_scratch_;
   std::vector<Neighbor> knn_heap_;
 
   ThreadPool* bound_pool_ = nullptr;

@@ -1,8 +1,6 @@
 #include "dyn/dynamic_index.h"
 
 #include <algorithm>
-#include <atomic>
-#include <latch>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,19 +11,6 @@
 namespace mbi {
 
 namespace {
-
-/// Rows-per-budget-check granularity for the buffer scan, matching the
-/// scanner paths' chunk discipline (DESIGN.md §13.4). Buffers are usually
-/// smaller than one chunk, so in practice the whole buffer scans atomically
-/// under the min-one-chunk rule.
-constexpr size_t kBufferScanChunk = SequentialScanner::kScanChunk;
-
-double PointwiseBound(const SimilarityFunction& similarity,
-                      size_t target_size) {
-  // f(|target|, 0) dominates f(x, y) for every admissible f: matches cannot
-  // exceed the target size and the Hamming distance cannot go below zero.
-  return similarity.Evaluate(static_cast<int>(target_size), 0);
-}
 
 /// The fan-out order: larger components first (their k best usually raise
 /// the shared floor most), equal sizes by smallest gid so the order — and
@@ -502,63 +487,30 @@ void DynamicIndex::FindKNearest(const Transaction& target,
 
   const QueryBudget budget =
       QueryBudget::Tightest(options.budget, context->context.budget());
-  family.RebindTarget(target, &context->similarity);
-  const SimilarityFunction& similarity = *context->similarity;
-  const double optimistic = PointwiseBound(similarity, target.size());
+  RowScorer& scorer = context->scorer;
+  scorer.Bind({&target, 1}, family, universe_size_, /*layout=*/nullptr);
+  const double optimistic = scorer.PointwiseBound();
 
-  // --- Buffer scan: exact, row units, chunked budget checks. ---
-  context->packed.Assign(target, universe_size_);
-  const size_t buffered = snapshot.buffer->size();
-  uint64_t charged = 0;
+  // --- Buffer scan: exact, row units, chunked budget checks (the min-one
+  // chunk rule, DESIGN.md §13.4). The buffer keeps no layout, so its rows
+  // go through the row scorer's per-row probe; delete-marked rows are
+  // skipped before scoring. Buffers are usually smaller than one chunk, so
+  // in practice the whole buffer scans under the min-one rule. ---
+  const MutableBuffer& buffer = *snapshot.buffer;
+  uint64_t evaluated = 0;
+  const ScanOutcome buffer_scan = ScanInChunks(
+      buffer.size(), budget, [&](size_t begin, size_t count) {
+        for (size_t i = begin; i < begin + count; ++i) {
+          if (buffer.deleted().IsMarked(i)) continue;
+          const BufferedRow& row = buffer.row(i);
+          context->merger.AddCandidate(row.gid, scorer.Score(row.txn));
+          ++evaluated;
+        }
+      });
   QueryStats buffer_stats;
-  buffer_stats.database_size = buffered;
-  buffer_stats.entries_total = buffered;
-  if (buffered > 0) {
-    size_t scanned = 0;
-    size_t evaluated = 0;
-    bool expired = false;
-    while (scanned < buffered) {
-      // Min-one-chunk rule: the first chunk always scans; later chunks check
-      // deadline/cancel/entry-cap first (DESIGN.md §13.4).
-      if (scanned > 0 && budget.limited()) {
-        if (budget.cancelled()) {
-          buffer_stats.termination = QueryTermination::kCancelled;
-          expired = true;
-          break;
-        }
-        if (budget.deadline_expired()) {
-          buffer_stats.termination = QueryTermination::kDeadline;
-          expired = true;
-          break;
-        }
-        if (scanned >= budget.max_entries) {
-          buffer_stats.termination = QueryTermination::kEntryBudget;
-          expired = true;
-          break;
-        }
-      }
-      const size_t end = std::min(buffered, scanned + kBufferScanChunk);
-      for (; scanned < end; ++scanned) {
-        if (snapshot.buffer->deleted().IsMarked(scanned)) continue;
-        const BufferedRow& row = snapshot.buffer->row(scanned);
-        size_t match = 0;
-        size_t hamming = 0;
-        context->packed.MatchAndHamming(row.txn, &match, &hamming);
-        context->merger.AddCandidate(
-            row.gid, similarity.Evaluate(static_cast<int>(match),
-                                         static_cast<int>(hamming)));
-        ++evaluated;
-      }
-    }
-    buffer_stats.entries_scanned = scanned;
-    buffer_stats.transactions_evaluated = evaluated;
-    buffer_stats.entries_unexplored = buffered - scanned;
-    if (expired) {
-      buffer_stats.is_exact = false;
-      buffer_stats.certificate_bound = optimistic;
-    }
-    charged += scanned;
-  }
+  FillScanStats(buffer_scan, evaluated, buffer.size(), optimistic,
+                &buffer_stats);
+  uint64_t charged = buffer_scan.rows_scanned;
   context->merger.AddStats(buffer_stats);
 
   // --- Component fan-out. ---
@@ -570,18 +522,13 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   // component's scan units as they accrue.
   for (const auto& component : snapshot.components) {
     if (component->deleted.AllMarked()) continue;
-    QueryTermination skip_cause = QueryTermination::kCompleted;
-    if (budget.cancelled()) {
-      skip_cause = QueryTermination::kCancelled;
-    } else if (budget.deadline_expired()) {
-      skip_cause = QueryTermination::kDeadline;
-    } else if (charged >= budget.max_entries) {
-      skip_cause = QueryTermination::kEntryBudget;
-    }
-    if (skip_cause != QueryTermination::kCompleted && charged > 0) {
+    // The min-one rule: the budget can skip a component only once some
+    // probe has been charged.
+    const QueryTermination skip_cause =
+        charged > 0 ? budget.Check(charged) : QueryTermination::kCompleted;
+    if (skip_cause != QueryTermination::kCompleted) {
       // Budget exhausted mid-fanout: this component's rows are certified
-      // unexplored under the pointwise bound (the min-one rule already ran
-      // at least one probe somewhere).
+      // unexplored under the pointwise bound.
       QueryStats skipped;
       skipped.database_size = component->size();
       skipped.entries_total = component->size();
@@ -625,50 +572,11 @@ void DynamicIndex::FindKNearestBatch(
     ThreadPool* pool, DynBatchWorkspace* workspace,
     std::vector<NearestNeighborResult>* results) const {
   results->resize(targets.size());
-  if (targets.empty()) return;
-
-  size_t shards = pool != nullptr ? pool->num_threads()
-                  : num_threads > 0
-                      ? num_threads
-                      : static_cast<size_t>(1);
-  shards = std::min(shards, targets.size());
-  while (workspace->contexts.size() < std::max<size_t>(shards, 1)) {
-    workspace->contexts.emplace_back();
-  }
-
-  if (shards <= 1) {
-    DynQueryContext& context = workspace->contexts.front();
-    for (size_t i = 0; i < targets.size(); ++i) {
-      FindKNearest(targets[i], family, k, options, &context, &(*results)[i]);
-    }
-    return;
-  }
-
-  // Same dynamic sharding as mbi::FindKNearestBatch: one context per shard,
-  // an atomic cursor over targets, results written to disjoint slots.
-  std::atomic<size_t> cursor{0};
-  std::latch done(static_cast<ptrdiff_t>(shards));
-  auto worker = [&, this](size_t shard) {
-    DynQueryContext& context = workspace->contexts[shard];
-    for (;;) {
-      const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= targets.size()) break;
-      FindKNearest(targets[i], family, k, options, &context, &(*results)[i]);
-    }
-    done.count_down();
-  };
-  if (pool != nullptr) {
-    for (size_t shard = 0; shard < shards; ++shard) {
-      pool->Submit([&worker, shard] { worker(shard); });
-    }
-    done.wait();
-  } else {
-    ThreadPool local(shards);
-    for (size_t shard = 0; shard < shards; ++shard) {
-      local.Submit([&worker, shard] { worker(shard); });
-    }
-    done.wait();
-  }
+  RunSharded(targets.size(), num_threads, pool, &workspace->contexts,
+             [&](DynQueryContext& context, size_t i) {
+               FindKNearest(targets[i], family, k, options, &context,
+                            &(*results)[i]);
+             });
 }
 
 // --- Introspection ----------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "core/query_context.h"
+#include "core/row_scorer.h"
 #include "core/signature_table.h"
 #include "dyn/knn_merger.h"
 #include "dyn/mutable_buffer.h"
@@ -20,7 +21,6 @@
 #include "txn/candidate_layout.h"
 #include "txn/database.h"
 #include "txn/delete_mask.h"
-#include "txn/packed_target.h"
 #include "txn/transaction.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
@@ -108,8 +108,7 @@ struct DynQueryContext {
   QueryContext context;
   NearestNeighborResult component_result;
   KnnMerger merger;
-  PackedTarget packed;
-  std::unique_ptr<SimilarityFunction> similarity;
+  RowScorer scorer;  // The buffer scan's target binding.
 };
 
 /// Per-batch workspace: per-shard contexts and results live here so repeated
@@ -215,9 +214,11 @@ class DynamicIndex {
                                      const SimilarityFamily& family, size_t k,
                                      const SearchOptions& options = {}) const;
 
-  /// Batch fan-out sharded over `pool` (or `num_threads` internal threads;
-  /// both 0/null → serial). Mirrors mbi::FindKNearestBatch: results are
-  /// bit-identical to the serial loop regardless of sharding.
+  /// Batch fan-out on mbi::FindKNearestBatch's sharded runner and shard
+  /// policy (core/batch_query.h RunSharded): with `pool`, its workers capped
+  /// by `num_threads` (0 = every worker); without, `num_threads` workers of
+  /// a call-local pool (0 = hardware concurrency). Results and stats are
+  /// identical to the serial loop for any sharding.
   void FindKNearestBatch(const std::vector<Transaction>& targets,
                          const SimilarityFamily& family, size_t k,
                          const SearchOptions& options, size_t num_threads,

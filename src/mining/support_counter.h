@@ -14,9 +14,8 @@ namespace mbi {
 ///
 /// Signature construction (paper §3.1) needs exactly these statistics: the
 /// item graph's edge weights are the inverse supports of the item pairs, and
-/// the critical-mass criterion sums item supports. Two implementations are
-/// provided: the exact `SupportCounter` and the memory-bounded `PcyCounter`
-/// (hash-filtered, for large universes).
+/// the critical-mass criterion sums item supports. `SupportCounter` is the
+/// exact implementation.
 class SupportProvider {
  public:
   /// A 2-itemset with its absolute support count, a < b.

@@ -425,6 +425,67 @@ TEST(DynamicIndexTest, BackpressureRejectsWithRetryHintWhenLevelZeroIsFull) {
   EXPECT_TRUE(index.CheckInvariants().ok());
 }
 
+TEST(DynamicIndexTest, BatchMatchesTheSerialLoopUnderEveryShardPolicy) {
+  // The dyn batch shares mbi::FindKNearestBatch's sharded runner and shard
+  // policy: num_threads caps a caller's pool, and every sharding answers
+  // exactly like the serial loop, stats included.
+  QuestGenerator generator(GeneratorConfig());
+  DynamicIndex index(200, SmallOptions());
+  const std::vector<TransactionId> gids = FillIndex(&index, &generator, 45);
+  ASSERT_TRUE(index.Delete(gids[3]).ok());
+  ASSERT_TRUE(index.Delete(gids[44]).ok());
+  const MatchRatioFamily family;
+  std::vector<Transaction> targets;
+  for (int i = 0; i < 9; ++i) targets.push_back(generator.NextTransaction());
+  const SearchOptions options;
+
+  std::vector<NearestNeighborResult> serial(targets.size());
+  DynQueryContext context;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    index.FindKNearest(targets[i], family, 4, options, &context, &serial[i]);
+  }
+  auto expect_serial = [&](const std::vector<NearestNeighborResult>& got) {
+    ASSERT_EQ(got.size(), serial.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].neighbors.size(), serial[i].neighbors.size());
+      for (size_t r = 0; r < got[i].neighbors.size(); ++r) {
+        EXPECT_EQ(got[i].neighbors[r].id, serial[i].neighbors[r].id);
+        EXPECT_EQ(got[i].neighbors[r].similarity,
+                  serial[i].neighbors[r].similarity);
+      }
+      const QueryStats& a = got[i].stats;
+      const QueryStats& b = serial[i].stats;
+      EXPECT_EQ(a.database_size, b.database_size);
+      EXPECT_EQ(a.entries_total, b.entries_total);
+      EXPECT_EQ(a.entries_scanned, b.entries_scanned);
+      EXPECT_EQ(a.entries_pruned, b.entries_pruned);
+      EXPECT_EQ(a.entries_unexplored, b.entries_unexplored);
+      EXPECT_EQ(a.transactions_evaluated, b.transactions_evaluated);
+      EXPECT_EQ(a.io.pages_read, b.io.pages_read);
+      EXPECT_EQ(a.termination, b.termination);
+      EXPECT_EQ(a.is_exact, b.is_exact);
+      EXPECT_EQ(a.certificate_bound, b.certificate_bound);
+    }
+  };
+
+  for (size_t num_threads : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
+    DynBatchWorkspace workspace;
+    std::vector<NearestNeighborResult> results;
+    index.FindKNearestBatch(targets, family, 4, options, num_threads,
+                            /*pool=*/nullptr, &workspace, &results);
+    expect_serial(results);
+    EXPECT_EQ(workspace.contexts.size(), num_threads);
+  }
+  ThreadPool pool(4);
+  DynBatchWorkspace workspace;
+  std::vector<NearestNeighborResult> results;
+  index.FindKNearestBatch(targets, family, 4, options, /*num_threads=*/2,
+                          &pool, &workspace, &results);
+  expect_serial(results);
+  EXPECT_EQ(workspace.contexts.size(), 2u);  // The pool's 4 capped at 2.
+}
+
 TEST(DynamicIndexTest, MetricsTrackTheLifecycle) {
   MetricsRegistry registry;
   DynamicIndexOptions options = SmallOptions();

@@ -11,6 +11,7 @@
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "core/query_context.h"
+#include "dyn/dynamic_index.h"
 #include "engine/engine.h"
 #include "gen/quest_generator.h"
 #include "util/alloc_guard.h"
@@ -421,6 +422,58 @@ TEST(QueryBudgetTest, EngineCountsDegradedAndExpiredQueries) {
   ASSERT_NE(expired, nullptr);
   EXPECT_EQ(degraded->value(), 1u);
   EXPECT_EQ(expired->value(), 1u);
+}
+
+TEST(QueryBudgetTest, DynamicIndexReportsTheCapWhenCapAndDeadlineTripTogether) {
+  // Every budget poll tests cancel -> entry cap -> deadline
+  // (QueryBudget::Check), the dyn buffer scan and the fan-out skip included:
+  // a check at which the cap and an expired deadline both trip reports the
+  // cap.
+  QuestGeneratorConfig config;
+  config.universe_size = 200;
+  config.num_large_itemsets = 40;
+  config.seed = 4242;
+  QuestGenerator generator(config);
+  MatchRatioFamily family;
+  const Transaction target = QueryTarget();
+  ManualClock clock(1000.0);
+  SearchOptions options;
+  options.budget.clock = &clock;
+  options.budget.deadline_us = 0.0;
+
+  // Buffer scan: 300 buffered rows; the second chunk's check sees both.
+  DynamicIndexOptions buffered_only;
+  buffered_only.buffer_capacity = 512;
+  DynamicIndex buffer_index(200, buffered_only);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(buffer_index.Insert(generator.NextTransaction()).ok());
+  }
+  ASSERT_EQ(buffer_index.num_components(), 0u);
+  options.budget.max_entries = SequentialScanner::kScanChunk;
+  NearestNeighborResult from_buffer =
+      buffer_index.FindKNearest(target, family, 5, options);
+  EXPECT_EQ(from_buffer.stats.termination, QueryTermination::kEntryBudget);
+  EXPECT_EQ(from_buffer.stats.entries_scanned, SequentialScanner::kScanChunk);
+  EXPECT_FALSE(from_buffer.stats.is_exact);
+
+  // Fan-out skip: the buffer's 5 rows use up the cap of 5, so the first
+  // component's check sees both.
+  DynamicIndexOptions small;
+  small.buffer_capacity = 8;
+  small.level_fanout = 2;
+  small.build.clustering.target_cardinality = 6;
+  DynamicIndex index(200, small);
+  for (int i = 0; i < 21; ++i) {
+    ASSERT_TRUE(index.Insert(generator.NextTransaction()).ok());
+  }
+  ASSERT_EQ(index.buffered_rows(), 5u);
+  ASSERT_GT(index.num_components(), 0u);
+  options.budget.max_entries = 5;
+  NearestNeighborResult fanned = index.FindKNearest(target, family, 5, options);
+  EXPECT_EQ(fanned.stats.termination, QueryTermination::kEntryBudget);
+  EXPECT_EQ(fanned.stats.entries_scanned, 5u);
+  EXPECT_EQ(fanned.stats.entries_unexplored, 16u);
+  EXPECT_FALSE(fanned.stats.is_exact);
 }
 
 }  // namespace
