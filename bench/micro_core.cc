@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks for the core index operations: similarity
 // primitives, bound computation, supercoordinate mapping, table construction,
 // the per-query bound pass plus entry ordering, end-to-end query latency vs
-// signature cardinality, and the sequential-scan k-NN.
+// signature cardinality, the sequential-scan k-NN, and the range query.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -205,6 +206,45 @@ void BM_SequentialScanKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_SequentialScanKnn)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+/// One complete range query by BranchAndBoundEngine::FindInRange over the
+/// 200K paper rows. Arg 0 picks the family as in BM_BoundPassAndOrder; arg 1
+/// the selectivity: each target's threshold is the similarity of its
+/// 200th, 2,000th or 20,000th best row, so about 0.1%, 1% or 10% of the
+/// rows match (more where rows tie at the threshold). Cycles over 16
+/// targets.
+void BM_RangeQuery(benchmark::State& state) {
+  const PaperData& data = PaperData::Get();
+  static const InverseHammingFamily hamming;
+  static const MatchRatioFamily match_ratio;
+  static const CosineFamily cosine;
+  const SimilarityFamily* const families[] = {&hamming, &match_ratio, &cosine};
+  const SimilarityFamily& family = *families[state.range(0)];
+  const size_t rank = size_t{200} * (state.range(1) == 0   ? 1
+                                     : state.range(1) == 1 ? 10
+                                                           : 100);
+  const BranchAndBoundEngine engine(&data.db, &data.table);
+  const SequentialScanner scanner(&data.db);
+  std::vector<double> thresholds;
+  for (size_t t = 0; t < 16; ++t) {
+    thresholds.push_back(
+        scanner.FindKNearest(data.targets[t], family, rank).back().similarity);
+  }
+  size_t i = 0;
+  double matches = 0.0;
+  for (auto _ : state) {
+    const size_t t = i++ % thresholds.size();
+    const RangeQueryResult result =
+        engine.FindInRange(data.targets[t], family, thresholds[t]);
+    matches += static_cast<double>(result.matches.size());
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["matches"] =
+      matches / static_cast<double>(std::max<size_t>(i, 1));
+}
+BENCHMARK(BM_RangeQuery)
+    ->ArgsProduct({{0, 1, 2}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_TableBuild(benchmark::State& state) {

@@ -11,6 +11,12 @@
 /// admissible f(x, y)) checked on machine-generated adversarial inputs
 /// rather than the hand-picked shapes in tests/oracle_equivalence_test.cc.
 ///
+/// A range leg then asks the static engine for every row at or above the
+/// scan's k-th best similarity: the rows tied at that threshold sit exactly
+/// on the inclusive prune boundary, and all of them must come back, the
+/// same ids in the same order as SequentialScanner::FindInRange, with
+/// stats.is_exact set. It reads no input bytes of its own.
+///
 /// The second leg feeds the same rows through a DynamicIndex with a
 /// fuzz-chosen buffer capacity, level fanout, and tombstone stride — so the
 /// split between the unindexed buffer and the leveled components (and which
@@ -180,6 +186,36 @@ void CheckAgainstScan(const char* label,
   }
 }
 
+/// The range leg's comparison: a complete range answer is fully
+/// determined, ids and order included.
+void CheckRangeAgainstScan(const mbi::RangeQueryResult& result,
+                           const std::vector<mbi::Neighbor>& expected,
+                           double threshold) {
+  if (!result.stats.is_exact) {
+    std::fprintf(stderr,
+                 "range divergence: complete search not stats.is_exact\n");
+    abort();
+  }
+  if (result.matches.size() != expected.size()) {
+    std::fprintf(stderr,
+                 "range divergence: returned %zu matches >= %.17g, scan %zu\n",
+                 result.matches.size(), threshold, expected.size());
+    abort();
+  }
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (result.matches[i].id != expected[i].id ||
+        !SameSimilarity(result.matches[i].similarity,
+                        expected[i].similarity)) {
+      std::fprintf(stderr,
+                   "range divergence: match %zu id %u (sim %.17g) vs scan id "
+                   "%u (sim %.17g)\n",
+                   i, result.matches[i].id, result.matches[i].similarity,
+                   expected[i].id, expected[i].similarity);
+      abort();
+    }
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -240,6 +276,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       [](mbi::TransactionId id) { return id; }};
   CheckAgainstScan("static", result, expected, target, *family,
                    static_resolver);
+
+  // Range leg at the k-th best similarity: every row tied there is on the
+  // prune boundary and must be returned.
+  if (!expected.empty()) {
+    const double threshold = expected.back().similarity;
+    CheckRangeAgainstScan(engine.FindInRange(target, *family, threshold),
+                          scanner.FindInRange(target, *family, threshold),
+                          threshold);
+  }
 
   // Leg two: the same rows through the dynamized index. Every merge re-runs
   // the miner/clusterer with the same build config, so a divergence here is

@@ -5,12 +5,13 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/bounds.h"
 #include "core/entry_order.h"
 #include "core/query_context.h"
 #include "core/row_scorer.h"
-#include "txn/packed_target.h"
 #include "util/macros.h"
 
 namespace mbi {
@@ -26,6 +27,32 @@ uint64_t AccessBudget(double fraction, uint64_t database_size) {
   return static_cast<uint64_t>(
       std::ceil(fraction * static_cast<double>(database_size)));
 }
+
+/// A range query's RangeSink over the first family's scores (paper §4.3):
+/// a row reaching τ_0 is kept only if every other f_j(x, y) reaches τ_j,
+/// with (x, y) from the sparse probe (integer-exact, as the kernel's).
+struct ConjunctionSink : RangeSink {
+  const Transaction* target = nullptr;
+  const TransactionDatabase* database = nullptr;
+  std::span<const std::unique_ptr<SimilarityFunction>> others;
+  std::span<const double> other_thresholds;
+
+  static constexpr bool full() { return false; }  // Keeps every match.
+  static constexpr double worst() { return kNegInfinity; }
+
+  void operator()(TransactionId id, double score) {
+    ++scored;
+    if (!(score >= threshold)) return;
+    size_t x = 0, y = 0;
+    if (!others.empty()) MatchAndHamming(*target, database->Get(id), &x, &y);
+    for (size_t j = 0; j < others.size(); ++j) {
+      const double value =
+          others[j]->Evaluate(static_cast<int>(x), static_cast<int>(y));
+      if (!(value >= other_thresholds[j])) return;
+    }
+    matches->push_back({id, score});
+  }
+};
 
 }  // namespace
 
@@ -60,19 +87,38 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     NearestNeighborResult* result_out, double floor) const {
   MBI_CHECK(context != nullptr);
   MBI_CHECK(result_out != nullptr);
-  const size_t num_targets = targets.size();
-  MBI_CHECK(num_targets >= 1);
   MBI_CHECK(k >= 1);
   MBI_CHECK_MSG(options.optimality_gap >= 0.0,
                 "optimality_gap must be non-negative");
-  QueryContext& ctx = *context;
 
   // Reset the output in place: capacity survives, so a warm result object
   // costs nothing to refill.
   NearestNeighborResult& result = *result_out;
   result.neighbors.clear();
   result.trace.clear();
-  result.stats = QueryStats{};
+
+  // The scan keeps the k best in a heap whose front, once it holds k rows,
+  // is the pessimistic bound; only the bound test prunes (no veto).
+  std::vector<Neighbor>& knn_heap = context->knn_heap_;
+  knn_heap.clear();
+  TopKSink top_k{k, &knn_heap};
+  Scan(targets, family, options, floor, context, top_k,
+       [](uint32_t) { return false; }, &result.stats, &result.trace);
+
+  std::sort(knn_heap.begin(), knn_heap.end(), BestFirst());
+  result.neighbors.assign(knn_heap.begin(), knn_heap.end());
+}
+
+template <typename Sink, typename Veto>
+MBI_HOT void BranchAndBoundEngine::Scan(
+    std::span<const Transaction> targets, const SimilarityFamily& family,
+    const SearchOptions& options, double floor, QueryContext* context,
+    Sink& sink, Veto veto, QueryStats* stats_out,
+    std::vector<EntryTrace>* trace) const {
+  const size_t num_targets = targets.size();
+  QueryContext& ctx = *context;
+  QueryStats& stats = *stats_out;
+  stats = QueryStats{};
 
   // Bind the row scorer (similarity functions and packed bitmaps) and the
   // bound calculator to each target, reusing the context's buffers.
@@ -196,8 +242,8 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   size_t cursor = 0;
   size_t below_left = below.count;
 
-  result.stats.database_size = database_->size();
-  result.stats.entries_total = num_entries;
+  stats.database_size = database_->size();
+  stats.entries_total = num_entries;
   const uint64_t budget =
       AccessBudget(options.max_access_fraction, database_->size());
   // Overload budget (tightest-wins between the per-call options and the
@@ -207,22 +253,11 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
       QueryBudget::Tightest(options.budget, ctx.budget_);
   const bool budget_limited = qbudget.limited();
 
-  // Min-heap of the k best candidates; front is the pessimistic bound once
-  // the heap is full. The caller's floor (k rows it already holds) raises
-  // the bound in effect; with the default -inf it changes nothing.
-  std::vector<Neighbor>& knn_heap = ctx.knn_heap_;
-  knn_heap.clear();
+  // The pessimistic bound in effect: the full sink's worst row (the k-th
+  // best), raised to the floor (a range query's only bound).
   auto pessimistic = [&]() {
-    return std::max(
-        knn_heap.size() == k ? knn_heap.front().similarity : kNegInfinity,
-        floor);
+    return std::max(sink.full() ? sink.worst() : kNegInfinity, floor);
   };
-  // Each scanned entry's rows go through the row scorer into the k-heap
-  // (core/row_scorer.h: integer x/y per row from the SIMD match kernel,
-  // targets accumulated in ascending t and the sum divided by n, so every
-  // score is bit-identical to the frozen reference's sum / n and ties
-  // compare exactly — kernel_test.cc's forced-ISA sweep proves it).
-  TopKSink top_k{k, &knn_heap};
 
   auto record_trace = [&](uint32_t entry_index, EntryTrace::Action action) {
     if (!options.collect_trace) return;
@@ -232,7 +267,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     entry_trace.transaction_count = entries[entry_index].transaction_count;
     entry_trace.action = action;
     entry_trace.pessimistic_bound = pessimistic();
-    result.trace.push_back(entry_trace);
+    trace->push_back(entry_trace);
   };
 
   bool terminated_early = false;
@@ -247,8 +282,8 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     // first scan), so entries_scanned > 0 holds from the second iteration
     // on; with one, pruned entries cost nothing and the caller already
     // holds k rows.
-    if (budget_limited && result.stats.entries_scanned > 0) {
-      termination = qbudget.Check(result.stats.entries_scanned);
+    if (budget_limited && stats.entries_scanned > 0) {
+      termination = qbudget.Check(stats.entries_scanned);
       if (termination != QueryTermination::kCompleted) {
         terminated_early = true;
         break;
@@ -257,14 +292,14 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
     if (cursor == num_ordered) {
       // Only the entries left out below the floor remain: the first of them
       // in visit order would prune itself and the rest.
-      result.stats.entries_pruned += below_left;
+      stats.entries_pruned += below_left;
       max_pruned_bound = std::max(max_pruned_bound, below.max);
       below_left = 0;
       break;
     }
     const uint32_t entry_index = order[cursor++];
     const double optimistic = bound_of(entry_index);
-    if ((knn_heap.size() == k || has_floor) &&
+    if ((sink.full() || has_floor) &&
         optimistic <= pessimistic() + options.optimality_gap) {
       max_pruned_bound = std::max(max_pruned_bound, optimistic);
       record_trace(entry_index, EntryTrace::Action::kPruned);
@@ -273,7 +308,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
         // tail is prunable too, the entries left out below the floor with
         // it; the ordered tail is only walked when a trace wants the
         // per-entry records in visit order.
-        result.stats.entries_pruned += num_ordered - cursor + 1 + below_left;
+        stats.entries_pruned += num_ordered - cursor + 1 + below_left;
         max_pruned_bound = std::max(max_pruned_bound, below.max);
         if (options.collect_trace) {
           for (; cursor < num_ordered; ++cursor) {
@@ -284,17 +319,22 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
         below_left = 0;
         break;
       }
-      ++result.stats.entries_pruned;
+      ++stats.entries_pruned;
+      continue;
+    }
+    if (veto(entry_index)) {
+      // No row here could be kept: pruned without raising the certificate.
+      ++stats.entries_pruned;
+      record_trace(entry_index, EntryTrace::Action::kPruned);
       continue;
     }
     record_trace(entry_index, EntryTrace::Action::kScanned);
     std::span<const TransactionId> ids =
-        table_->EntryTransactions(entry_index, &result.stats.io);
-    ++result.stats.entries_scanned;
+        table_->EntryTransactions(entry_index, &stats.io);
+    ++stats.entries_scanned;
     if (deleted_ != nullptr) ids = LiveIds(ids, &ctx.candidate_ids_);
-    scorer.ScoreIds(ids, top_k);
-    if (top_k.scored >= budget &&
-        (cursor < num_ordered || below_left > 0)) {
+    scorer.ScoreIds(ids, sink);
+    if (sink.scored >= budget && (cursor < num_ordered || below_left > 0)) {
       terminated_early = true;
       termination = QueryTermination::kAccessFraction;
       break;
@@ -307,7 +347,7 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   // below the floor.
   double unexplored_bound = kNegInfinity;
   if (terminated_early) {
-    result.stats.entries_unexplored = num_ordered - cursor + below_left;
+    stats.entries_unexplored = num_ordered - cursor + below_left;
     if (below_left > 0) unexplored_bound = below.max;
     for (; cursor < num_ordered; ++cursor) {
       unexplored_bound = std::max(unexplored_bound, bound_of(order[cursor]));
@@ -316,18 +356,16 @@ MBI_HOT void BranchAndBoundEngine::FindKNearestMultiTarget(
   }
   // Paper-§4.2 certificate: no transaction the search did not evaluate can
   // beat the best optimistic bound over pruned and unexplored entries, and
-  // the answer is exact iff that bound cannot beat the k-th best found.
-  // While the heap holds fewer than k rows and there is no floor nothing can
+  // the answer is exact iff that bound cannot beat the pessimistic bound.
+  // While a k-heap holds fewer than k rows and there is no floor nothing can
   // have been pruned, so the test then passes only when every entry was
   // scanned — which is exactly right when fewer than k rows are live. With a
-  // floor the caller's k rows stand in for the missing ones.
-  result.stats.transactions_evaluated = top_k.scored;
-  result.stats.termination = termination;
-  result.stats.certificate_bound = std::max(max_pruned_bound, unexplored_bound);
-  result.stats.is_exact = result.stats.certificate_bound <= pessimistic();
-
-  std::sort(knn_heap.begin(), knn_heap.end(), BestFirst());
-  result.neighbors.assign(knn_heap.begin(), knn_heap.end());
+  // floor the caller's k rows stand in for the missing ones; a complete
+  // range query pruned only entries below its threshold, so it is exact.
+  stats.transactions_evaluated = sink.scored;
+  stats.termination = termination;
+  stats.certificate_bound = std::max(max_pruned_bound, unexplored_bound);
+  stats.is_exact = stats.certificate_bound <= pessimistic();
 }
 
 MBI_HOT std::span<const TransactionId> BranchAndBoundEngine::LiveIds(
@@ -344,116 +382,50 @@ MBI_HOT std::span<const TransactionId> BranchAndBoundEngine::LiveIds(
 RangeQueryResult BranchAndBoundEngine::FindInRange(
     const Transaction& target, const SimilarityFamily& family,
     double threshold, const SearchOptions& options) const {
-  std::vector<const SimilarityFamily*> families = {&family};
-  std::vector<double> thresholds = {threshold};
-  return FindInRangeMulti(target, families, thresholds, options);
+  const SimilarityFamily* const first = &family;
+  return InRange(target, {&first, 1}, {&threshold, 1}, options);
 }
 
 RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
     const Transaction& target,
     const std::vector<const SimilarityFamily*>& families,
-    const std::vector<double>& thresholds,
-    const SearchOptions& options) const {
+    const std::vector<double>& thresholds, const SearchOptions& options) const {
+  return InRange(target, families, thresholds, options);
+}
+
+RangeQueryResult BranchAndBoundEngine::InRange(
+    const Transaction& target,
+    std::span<const SimilarityFamily* const> families,
+    std::span<const double> thresholds, const SearchOptions& options) const {
   MBI_CHECK(!families.empty());
   MBI_CHECK(families.size() == thresholds.size());
-
-  std::vector<std::unique_ptr<SimilarityFunction>> functions;
-  functions.reserve(families.size());
-  for (const SimilarityFamily* family : families) {
-    MBI_CHECK(family != nullptr);
-    functions.push_back(family->ForTarget(target));
+  // The conjuncts after the first, bound to the target.
+  std::vector<std::unique_ptr<SimilarityFunction>> others;
+  for (size_t j = 0; j < families.size(); ++j) {
+    MBI_CHECK(families[j] != nullptr);
+    if (j > 0) others.push_back(families[j]->ForTarget(target));
   }
-  BoundCalculator calculator(table_->partition().CountsPerSignature(target),
-                             table_->activation_threshold());
-  PackedTarget packed;
-  packed.Assign(target, database_->universe_size(), layout_);
-
+  // The floor just below τ_0 prunes exactly the entries bounded below τ_0.
+  // The gap and the trace do not apply to a range query.
+  SearchOptions scan_options = options;
+  scan_options.optimality_gap = 0.0;
+  scan_options.collect_trace = false;
+  QueryContext context;
   RangeQueryResult result;
-  result.stats.database_size = database_->size();
-  result.stats.entries_total = table_->entries().size();
-  const uint64_t budget =
-      AccessBudget(options.max_access_fraction, database_->size());
-  const QueryBudget& qbudget = options.budget;
-  const bool budget_limited = qbudget.limited();
-
-  bool terminated_early = false;
-  QueryTermination termination = QueryTermination::kCompleted;
-  double unexplored_bound = kNegInfinity;
-  const auto& entries = table_->entries();
-  // All entry bounds in one SIMD batch up front (range queries visit the
-  // directory in index order, so there is no lazy prefix to exploit).
-  std::vector<int32_t> bound_match(entries.size());
-  std::vector<int32_t> bound_dist(entries.size());
-  calculator.ComputeBatch(table_->summaries(), 0, entries.size(),
-                          bound_match.data(), bound_dist.data());
-  std::vector<TransactionId> live_scratch;
-  std::vector<uint32_t> match_scratch;
-  std::vector<uint32_t> hamming_scratch;
-  for (uint32_t i = 0; i < entries.size(); ++i) {
-    if (!terminated_early && budget_limited &&
-        result.stats.entries_scanned > 0) {
-      // Same min-one-entry guarantee as the k-NN search: the budget can only
-      // cut the enumeration after the first scanned entry, so a degraded
-      // range answer is never structurally empty.
-      termination = qbudget.Check(result.stats.entries_scanned);
-      terminated_early = termination != QueryTermination::kCompleted;
+  ConjunctionSink sink{{thresholds[0], &result.matches}, &target, database_,
+                       others, thresholds.subspan(1)};
+  // A visited entry some other conjunct's bound f_j(M', D') rules out.
+  auto veto = [&](uint32_t e) {
+    for (size_t j = 0; j < others.size(); ++j) {
+      const double bound = others[j]->Evaluate(context.bound_match_[e],
+                                               context.bound_dist_[e]);
+      if (bound < thresholds[j + 1]) return true;
     }
-    if (terminated_early) {
-      ++result.stats.entries_unexplored;
-      // Certificate over what was left behind: no skipped transaction can
-      // beat the primary function's optimistic bound for its entry.
-      unexplored_bound = std::max(
-          unexplored_bound, functions[0]->Evaluate(bound_match[i], bound_dist[i]));
-      continue;
-    }
-    bool prunable = false;
-    for (size_t f = 0; f < functions.size(); ++f) {
-      double optimistic = functions[f]->Evaluate(bound_match[i], bound_dist[i]);
-      if (optimistic < thresholds[f]) {
-        prunable = true;
-        break;
-      }
-    }
-    if (prunable) {
-      ++result.stats.entries_pruned;
-      continue;
-    }
-    std::span<const TransactionId> ids =
-        table_->EntryTransactions(i, &result.stats.io);
-    ++result.stats.entries_scanned;
-    if (deleted_ != nullptr) ids = LiveIds(ids, &live_scratch);
-    match_scratch.resize(ids.size());
-    hamming_scratch.resize(ids.size());
-    packed.MatchAndHammingBatch(ids.data(), ids.size(), match_scratch.data(),
-                                hamming_scratch.data());
-    for (size_t c = 0; c < ids.size(); ++c) {
-      const TransactionId id = ids[c];
-      const uint32_t match = match_scratch[c];
-      const uint32_t hamming = hamming_scratch[c];
-      ++result.stats.transactions_evaluated;
-      bool qualifies = true;
-      double primary_similarity = 0.0;
-      for (size_t f = 0; f < functions.size(); ++f) {
-        double value = functions[f]->Evaluate(static_cast<int>(match),
-                                              static_cast<int>(hamming));
-        if (f == 0) primary_similarity = value;
-        if (value < thresholds[f]) {
-          qualifies = false;
-          break;
-        }
-      }
-      if (qualifies) result.matches.push_back({id, primary_similarity});
-    }
-    if (result.stats.transactions_evaluated >= budget &&
-        i + 1 < entries.size()) {
-      terminated_early = true;
-      termination = QueryTermination::kAccessFraction;
-    }
-  }
-
-  result.stats.termination = termination;
-  result.stats.is_exact = !terminated_early;
-  result.stats.certificate_bound = unexplored_bound;
+    return false;
+  };
+  Scan({&target, 1}, *families[0], scan_options,
+       std::nextafter(thresholds[0], kNegInfinity), &context, sink, veto,
+       &result.stats, /*trace=*/nullptr);
   std::sort(result.matches.begin(), result.matches.end(), BestFirst());
   return result;
 }

@@ -99,14 +99,14 @@ struct SearchOptions {
   /// table entries"). An entry is pruned when its optimistic bound does not
   /// exceed the pessimistic bound by more than this gap, so the returned
   /// best is within `optimality_gap` of the true optimum (in similarity
-  /// units). 0 keeps the search exact.
+  /// units). 0 keeps the search exact. Range queries ignore it.
   double optimality_gap = 0.0;
 
   EntrySortOrder sort_order = EntrySortOrder::kOptimisticBound;
 
   /// Record a per-entry EntryTrace in the result (visit order). Adds memory
   /// and time proportional to the number of occupied entries; off by
-  /// default.
+  /// default. Range queries ignore it.
   bool collect_trace = false;
 
   /// Cooperative overload budget (deadline / entry cap / cancellation),
@@ -144,11 +144,11 @@ struct NearestNeighborResult {
 
 /// Result of a range query.
 struct RangeQueryResult {
-  /// All qualifying transactions, best first.
+  /// Qualifying transactions found (all when `stats.is_exact`), best first.
   std::vector<Neighbor> matches;
 
-  /// Work counters; `stats.is_exact` is false when early termination may
-  /// have cut the enumeration short.
+  /// Work counters and the certificate, under the k-NN rule with the
+  /// threshold as the floor (QueryStats::is_exact).
   QueryStats stats;
 };
 
@@ -168,11 +168,11 @@ struct RangeQueryResult {
 /// and each scanned entry's rows are scored by the row scorer every query
 /// path shares (core/row_scorer.h): the SIMD match kernel over a blocked
 /// candidate layout instead of merge-scanning item vectors, into a bounded
-/// top-k. The range searches keep their own loop (FindInRangeMulti's
-/// conjunctive multi-family test is a different shape). All of
-/// it is bit-identical to the straightforward sort-everything merge-scan
-/// implementation, which tests/reference_knn.h keeps frozen as the oracle
-/// oracle_equivalence_test.cc pins this engine against.
+/// top-k; range queries run the same scan with a fixed pessimistic bound
+/// (Scan). All of it is bit-identical to the straightforward
+/// sort-everything merge-scan implementation, which tests/reference_knn.h
+/// keeps frozen as the oracle oracle_equivalence_test.cc pins this engine
+/// against.
 class BranchAndBoundEngine {
  public:
   /// `layout` is the blocked candidate bitmap the SIMD match kernel scans;
@@ -229,7 +229,8 @@ class BranchAndBoundEngine {
                                      const SearchOptions& options = {}) const;
 
   /// Range query (paper §4.3): every transaction with f >= `threshold`.
-  /// Entries whose optimistic bound is below the threshold are pruned.
+  /// Entries whose optimistic bound is below the threshold are pruned; one
+  /// bounded at exactly the threshold is scanned.
   RangeQueryResult FindInRange(const Transaction& target,
                                const SimilarityFamily& family,
                                double threshold,
@@ -260,6 +261,25 @@ class BranchAndBoundEngine {
                            const SimilarityFamily& family) const;
 
  private:
+  /// The one scan (paper §4) both query kinds run: bound pass, visit order,
+  /// cursor loop with the budget poll, §4.2 certificate into `*stats`. Rows
+  /// go through the context's RowScorer into `sink` (a TopKSink, or a range
+  /// sink that is never full). An entry is pruned when its bound is at or
+  /// below max(the full sink's worst row, `floor`) + gap, or when visited
+  /// and `veto(entry_index)`, which does not raise the certificate.
+  template <typename Sink, typename Veto>
+  MBI_HOT void Scan(std::span<const Transaction> targets,
+                    const SimilarityFamily& family,
+                    const SearchOptions& options, double floor,
+                    QueryContext* context, Sink& sink, Veto veto,
+                    QueryStats* stats, std::vector<EntryTrace>* trace) const;
+
+  /// Both range queries: Scan with the fixed floor just below τ_0.
+  RangeQueryResult InRange(const Transaction& target,
+                           std::span<const SimilarityFamily* const> families,
+                           std::span<const double> thresholds,
+                           const SearchOptions& options) const;
+
   /// The rows of one entry's candidate list not marked in `deleted_`, in
   /// order: a filtered copy into `*scratch`, which the returned span views.
   /// Only an engine with delete marks copies; a warm scratch allocates

@@ -64,20 +64,22 @@ struct QueryStats {
   /// quarantine fallback — see SignatureTableEngine::SequentialKNearest).
   QueryTermination termination = QueryTermination::kCompleted;
 
-  /// k-NN: true iff the returned neighbors are provably the exact top-k in
-  /// similarity values: `certificate_bound` is at or below the k-th best
-  /// (everything was scanned, or Lemma 2.1 bounds every pruned and
-  /// unexplored entry at or below it). A branch and bound run with a caller
-  /// floor judges against max(k-th best, floor); the dyn fan-out judges the
-  /// union once, against the merged k-th best (KnnMerger::Finish). Range:
-  /// true iff the enumeration ran to completion.
+  /// True iff `certificate_bound` is at or below the pessimistic bound, one
+  /// rule for k-NN and range: everything was scanned, or Lemma 2.1 bounds
+  /// every pruned and unexplored entry at or below it. k-NN judges against
+  /// max(k-th best, caller floor), so the neighbors are the exact top-k in
+  /// similarity values; the dyn fan-out judges the union once, against the
+  /// merged k-th best (KnnMerger::Finish). Range judges against the fixed
+  /// floor just below the threshold, so every qualifying row was returned.
   bool is_exact = true;
 
   /// Largest optimistic similarity bound over the entries the search did not
-  /// scan (pruned ∪ unexplored for k-NN; unexplored for range queries): no
-  /// unevaluated transaction can beat it. -inf when every entry was scanned.
-  /// This is the paper's a-posteriori quality guarantee: the true k-th best
-  /// similarity is at most max(returned k-th, certificate_bound).
+  /// scan (pruned ∪ unexplored; a conjunctive range query's vetoed entries,
+  /// which hold no qualifying row, do not count): no unevaluated transaction
+  /// can beat it. -inf when every entry was scanned; a complete range query
+  /// reports its largest pruned bound, below the threshold. This is the
+  /// paper's a-posteriori quality guarantee: the true k-th best similarity
+  /// is at most max(returned k-th, certificate_bound).
   double certificate_bound = -std::numeric_limits<double>::infinity();
 
   /// The paper's pruning-efficiency metric: the percentage of the database

@@ -39,6 +39,10 @@ struct TopKSink {
     ++scored;
     OfferToTopK({id, score}, k, heap);
   }
+
+  /// Full once k rows are kept; worst() is then the k-th best.
+  bool full() const { return heap->size() == k; }
+  double worst() const { return heap->front().similarity; }
 };
 
 /// Appends every row offered with `score >= threshold` to `*matches`

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/sequential_scan.h"
@@ -605,6 +607,202 @@ TEST(BranchAndBoundTest, MultiRangeQueryIsConjunctive) {
     for (const Neighbor& neighbor : result.matches) got.push_back(neighbor.id);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected) << "query " << q;
+  }
+}
+
+/// Per-entry range bounds as the paper defines them, for hand counts: each
+/// entry's count-summary bound (BoundCalculator::Compute) under the first
+/// family, and whether another family's bound rules the entry out although
+/// the first family's reaches its threshold (a vetoed entry).
+struct RangeEntryBounds {
+  std::vector<double> first;
+  std::vector<bool> vetoed;
+};
+
+RangeEntryBounds ComputeRangeEntryBounds(
+    const Fixture& fixture, const Transaction& target,
+    const std::vector<const SimilarityFamily*>& families,
+    const std::vector<double>& thresholds) {
+  BoundCalculator calculator(
+      fixture.table.partition().CountsPerSignature(target),
+      fixture.table.activation_threshold());
+  std::vector<std::unique_ptr<SimilarityFunction>> functions;
+  for (const SimilarityFamily* family : families) {
+    functions.push_back(family->ForTarget(target));
+  }
+  const EntrySummaries summaries = fixture.table.summaries();
+  RangeEntryBounds bounds;
+  for (size_t i = 0; i < fixture.table.entries().size(); ++i) {
+    const OptimisticBounds b = calculator.Compute(summaries, i);
+    bounds.first.push_back(functions[0]->Evaluate(b.match_upper, b.dist_lower));
+    bool vetoed = false;
+    for (size_t j = 1; j < functions.size(); ++j) {
+      vetoed = vetoed || functions[j]->Evaluate(b.match_upper, b.dist_lower) <
+                             thresholds[j];
+    }
+    bounds.vetoed.push_back(bounds.first.back() >= thresholds[0] && vetoed);
+  }
+  return bounds;
+}
+
+/// The certificate of a range query whose entry cap stopped it after
+/// `max_entries` scanned entries, visiting the entries in `order`: the
+/// largest first-family bound over the entries it did not scan, leaving out
+/// the entries it visited and vetoed (they hold no qualifying row).
+double CappedRangeCertificate(const RangeEntryBounds& bounds,
+                              const std::vector<uint32_t>& order,
+                              double threshold, size_t max_entries) {
+  size_t scanned = 0;
+  double certificate = -std::numeric_limits<double>::infinity();
+  for (uint32_t i : order) {
+    if (bounds.first[i] >= threshold && scanned < max_entries) {
+      if (!bounds.vetoed[i]) ++scanned;
+      continue;
+    }
+    certificate = std::max(certificate, bounds.first[i]);
+  }
+  return certificate;
+}
+
+TEST(BranchAndBoundTest, RangeQueryScansAnEntryBoundedAtTheThreshold) {
+  // f = x makes an entry's bound its M'. With the threshold at an entry's
+  // M' and a row of that entry attaining it, the entry must be scanned and
+  // the row returned: the range test is f >= τ, so the prune is strict.
+  Fixture fixture = MakeFixture(67, 9);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  CustomFamily matches_family("matches", [](int x, int) {
+    return static_cast<double>(x);
+  });
+  const EntrySummaries summaries = fixture.table.summaries();
+  size_t checked = 0;
+  for (const Transaction& target : fixture.queries) {
+    BoundCalculator calculator(
+        fixture.table.partition().CountsPerSignature(target),
+        fixture.table.activation_threshold());
+    // The entry with the largest M' that one of its rows attains.
+    int threshold = 0;
+    std::vector<TransactionId> attaining;
+    for (size_t i = 0; i < fixture.table.entries().size(); ++i) {
+      const int bound = calculator.Compute(summaries, i).match_upper;
+      if (bound <= threshold) continue;
+      std::vector<TransactionId> rows;
+      for (TransactionId id : fixture.table.EntryTransactions(i, nullptr)) {
+        size_t x = 0, y = 0;
+        MatchAndHamming(target, fixture.db.Get(id), &x, &y);
+        if (static_cast<int>(x) == bound) rows.push_back(id);
+      }
+      if (rows.empty()) continue;
+      threshold = bound;
+      attaining = std::move(rows);
+    }
+    if (threshold == 0) continue;
+    ++checked;
+
+    RangeQueryResult result = engine.FindInRange(
+        target, matches_family, static_cast<double>(threshold));
+    EXPECT_TRUE(result.stats.is_exact);
+    size_t bounded_at_or_above = 0;
+    for (size_t i = 0; i < fixture.table.entries().size(); ++i) {
+      bounded_at_or_above +=
+          calculator.Compute(summaries, i).match_upper >= threshold;
+    }
+    EXPECT_EQ(result.stats.entries_scanned, bounded_at_or_above);
+    for (TransactionId id : attaining) {
+      const bool returned =
+          std::any_of(result.matches.begin(), result.matches.end(),
+                      [&](const Neighbor& match) {
+                        return match.id == id && match.similarity == threshold;
+                      });
+      EXPECT_TRUE(returned) << "row " << id << " at x = " << threshold;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(BranchAndBoundTest, RangeQueryEntryCountsMatchAHandCount) {
+  Fixture fixture = MakeFixture(71, 9);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  MatchRatioFamily match_ratio;
+  CustomFamily matches_family("matches", [](int x, int) {
+    return static_cast<double>(x);
+  });
+  CustomFamily neg_hamming_family("neg_hamming", [](int, int y) {
+    return -static_cast<double>(y);
+  });
+  const std::vector<std::pair<std::vector<const SimilarityFamily*>,
+                              std::vector<double>>>
+      queries = {{{&match_ratio}, {0.5}},
+                 {{&matches_family, &neg_hamming_family}, {3.0, -8.0}}};
+  for (const auto& [families, thresholds] : queries) {
+    for (size_t q = 0; q < 5; ++q) {
+      const Transaction& target = fixture.queries[q];
+      const RangeEntryBounds bounds =
+          ComputeRangeEntryBounds(fixture, target, families, thresholds);
+      uint64_t scanned = 0, rows = 0;
+      for (size_t i = 0; i < bounds.first.size(); ++i) {
+        if (bounds.first[i] >= thresholds[0] && !bounds.vetoed[i]) {
+          ++scanned;
+          rows += fixture.table.entries()[i].transaction_count;
+        }
+      }
+      RangeQueryResult result =
+          engine.FindInRangeMulti(target, families, thresholds);
+      EXPECT_TRUE(result.stats.is_exact);
+      EXPECT_EQ(result.stats.entries_scanned, scanned) << "query " << q;
+      EXPECT_EQ(result.stats.entries_pruned, bounds.first.size() - scanned)
+          << "query " << q;
+      EXPECT_EQ(result.stats.entries_unexplored, 0u);
+      EXPECT_EQ(result.stats.transactions_evaluated, rows);
+    }
+  }
+}
+
+TEST(BranchAndBoundTest, BudgetedRangeQueryCertifiesTheHighestBoundsLeft) {
+  // Under an entry cap the range query has scanned the highest-bounded
+  // entries, so its certificate is the largest bound it left unscanned —
+  // never above what the same cap gives when visiting in index order.
+  Fixture fixture = MakeFixture(73, 9, 1, 2000);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  MatchRatioFamily match_ratio;
+  CustomFamily matches_family("matches", [](int x, int) {
+    return static_cast<double>(x);
+  });
+  CustomFamily neg_hamming_family("neg_hamming", [](int, int y) {
+    return -static_cast<double>(y);
+  });
+  const std::vector<std::pair<std::vector<const SimilarityFamily*>,
+                              std::vector<double>>>
+      queries = {{{&match_ratio}, {0.25}},
+                 {{&matches_family, &neg_hamming_family}, {2.0, -10.0}}};
+  for (const auto& [families, thresholds] : queries) {
+    for (size_t q = 0; q < 4; ++q) {
+      const Transaction& target = fixture.queries[q];
+      const RangeEntryBounds bounds =
+          ComputeRangeEntryBounds(fixture, target, families, thresholds);
+      std::vector<uint32_t> index_order(bounds.first.size());
+      std::iota(index_order.begin(), index_order.end(), 0u);
+      std::vector<uint32_t> bound_order = index_order;
+      std::stable_sort(bound_order.begin(), bound_order.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         return bounds.first[a] > bounds.first[b];
+                       });
+      for (uint64_t max_entries : {1u, 2u, 4u}) {
+        SearchOptions options;
+        options.budget.max_entries = max_entries;
+        RangeQueryResult result =
+            engine.FindInRangeMulti(target, families, thresholds, options);
+        for (const Neighbor& match : result.matches) {
+          EXPECT_GE(match.similarity, thresholds[0]);
+        }
+        const double expected = CappedRangeCertificate(
+            bounds, bound_order, thresholds[0], max_entries);
+        EXPECT_EQ(result.stats.certificate_bound, expected)
+            << "query " << q << " cap " << max_entries;
+        EXPECT_EQ(result.stats.is_exact, expected < thresholds[0]);
+        EXPECT_LE(expected, CappedRangeCertificate(bounds, index_order,
+                                                   thresholds[0], max_entries));
+      }
+    }
   }
 }
 

@@ -113,6 +113,38 @@ TEST(CliTest, FullPipeline) {
   std::remove(index.c_str());
 }
 
+TEST(CliTest, RangeQueryHonoursTermination) {
+  // --termination caps the rows a range query evaluates, as it does a k-NN
+  // query's, and the cut-short answer is reported as degraded.
+  std::string db = TempPath("cli_range_termination.mbid");
+  std::string index = TempPath("cli_range_termination.mbst");
+  ASSERT_EQ(RunCli("generate --out " + db +
+                   " --transactions 3000 --universe 300 --itemsets 80"
+                   " --seed 11")
+                .exit_code,
+            0);
+  ASSERT_EQ(
+      RunCli("build --db " + db + " --out " + index + " --cardinality 10")
+          .exit_code,
+      0);
+  const std::string query = "query --db " + db + " --index " + index +
+                            " --similarity match_ratio --range 0.1";
+
+  CommandResult complete = RunCli(query);
+  ASSERT_EQ(complete.exit_code, 0) << complete.output;
+  EXPECT_EQ(complete.output.find("degraded answer"), std::string::npos)
+      << complete.output;
+
+  CommandResult capped = RunCli(query + " --termination 0.01");
+  ASSERT_EQ(capped.exit_code, 0) << capped.output;
+  EXPECT_NE(capped.output.find("degraded answer (access_fraction)"),
+            std::string::npos)
+      << capped.output;
+
+  std::remove(db.c_str());
+  std::remove(index.c_str());
+}
+
 TEST(CliTest, ErrorsAreReported) {
   EXPECT_EQ(RunCli("build --db /no/such/file.mbid").exit_code, 1);
   EXPECT_EQ(RunCli("query --db /no/such/file.mbid").exit_code, 1);

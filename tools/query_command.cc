@@ -169,16 +169,19 @@ int RunQuery(int argc, char** argv) {
     std::printf("index invariants and bound dominance verified\n");
   }
 
+  // One set of options for both query kinds (a range query ignores the
+  // trace).
+  SearchOptions options;
+  options.max_access_fraction = termination;
+  options.collect_trace = explain;
   Stopwatch timer;
   if (range_threshold >= 0.0) {
     RangeQueryResult result = [&] {
       ScopedTimer span(nullptr, trace_sink, "range_query");
-      SearchOptions range_options;
       if (deadline_ms > 0.0) {
-        range_options.budget = QueryBudget::WithDeadlineAfterMs(deadline_ms);
+        options.budget = QueryBudget::WithDeadlineAfterMs(deadline_ms);
       }
-      return engine.FindInRange(target, *family, range_threshold,
-                                range_options);
+      return engine.FindInRange(target, *family, range_threshold, options);
     }();
     std::printf(
         "range query %s >= %.4g: %zu matches in %.1f ms "
@@ -201,9 +204,6 @@ int RunQuery(int argc, char** argv) {
     return finish(0);
   }
 
-  SearchOptions options;
-  options.max_access_fraction = termination;
-  options.collect_trace = explain;
   if (repeat < 1) repeat = 1;
   QueryContext context;
   NearestNeighborResult result;
